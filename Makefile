@@ -21,10 +21,13 @@ short:
 race:
 	$(GO) test -race -short -shuffle=on ./...
 
-# bench writes the machine-readable perf snapshot for this PR series:
-# photons/sec and allocs/photon for the layered and voxel kernels, jobs/sec
-# for the multi-job service registry, and the telemetry on/off A/B.
-# Compare against the committed BENCH_pr*.json trajectory.
+# bench writes mcbench's in-process perf snapshot: photons/sec and
+# allocs/photon for the layered and voxel kernels, jobs/sec and per-chunk
+# overhead of the service registry over the batched result path (the
+# retired per-chunk path's A/B stays in BENCH_pr4.json), and the
+# telemetry, WAL and shard A/Bs. Compare against the committed
+# BENCH_pr*.json trajectory. The real-process end-to-end benchmark is
+# e2ebench/run.sh (see BENCHMARK.json).
 bench:
 	$(GO) run ./cmd/mcbench -out BENCH_pr10.json
 

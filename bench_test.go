@@ -232,26 +232,32 @@ func BenchmarkTallyMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkProtocolResult measures gob encode+decode of a realistic chunk
-// result (tally with a 50³ grid) — the per-chunk wire cost.
+// BenchmarkProtocolResult measures the per-chunk wire cost of a realistic
+// chunk result (tally with a 50³ grid): compact-encode it into a one-chunk
+// result batch, gob the envelope, and decode both back.
 func BenchmarkProtocolResult(b *testing.B) {
 	tally, err := phomc.Run(phomc.Fig4Config(50, 40), 2000, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	msg := &protocol.Message{Type: protocol.MsgTaskResult,
-		Result: &protocol.TaskResult{ChunkID: 1, Tally: tally}}
+	msg := &protocol.Message{Type: protocol.MsgResultBatch,
+		Batch: &protocol.ResultBatch{Groups: []protocol.BatchGroup{{JobID: 1, Chunks: []int{1}}}}}
 
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)
 	dec := gob.NewDecoder(&buf)
+	var scratch mc.Tally
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		msg.Batch.Groups[0].TallyData = mc.AppendTally(msg.Batch.Groups[0].TallyData[:0], tally)
 		if err := enc.Encode(msg); err != nil {
 			b.Fatal(err)
 		}
 		var out protocol.Message
 		if err := dec.Decode(&out); err != nil {
+			b.Fatal(err)
+		}
+		if err := mc.DecodeTallyInto(&scratch, out.Batch.Groups[0].TallyData); err != nil {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(buf.Len()))
@@ -274,21 +280,20 @@ func codecBenchTally(b *testing.B) *mc.Tally {
 // BenchmarkTallyEncodeGob vs BenchmarkTallyEncodeCompact (and the decode
 // pair below) compare the two tally codecs on the same chunk result:
 // ns/op, bytes/result (reported metric) and allocs. The compact codec is
-// what ResultBatch frames carry; gob remains for checkpoints.
+// what ResultBatch frames carry; gob (a fresh encoder per result, as a
+// standalone blob needs its type descriptors) is the reference.
 func BenchmarkTallyEncodeGob(b *testing.B) {
 	tally := codecBenchTally(b)
-	var codec mc.GobTallyCodec
+	var buf bytes.Buffer
 	b.ReportAllocs()
 	b.ResetTimer()
-	var n int
 	for i := 0; i < b.N; i++ {
-		blob, err := codec.EncodeTally(tally)
-		if err != nil {
+		buf.Reset()
+		if err := gob.NewEncoder(&buf).Encode(tally); err != nil {
 			b.Fatal(err)
 		}
-		n = len(blob)
 	}
-	b.ReportMetric(float64(n), "bytes/result")
+	b.ReportMetric(float64(buf.Len()), "bytes/result")
 }
 
 func BenchmarkTallyEncodeCompact(b *testing.B) {
@@ -303,15 +308,16 @@ func BenchmarkTallyEncodeCompact(b *testing.B) {
 }
 
 func BenchmarkTallyDecodeGob(b *testing.B) {
-	var codec mc.GobTallyCodec
-	blob, err := codec.EncodeTally(codecBenchTally(b))
-	if err != nil {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(codecBenchTally(b)); err != nil {
 		b.Fatal(err)
 	}
+	blob := buf.Bytes()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := codec.DecodeTally(blob); err != nil {
+		var t mc.Tally
+		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&t); err != nil {
 			b.Fatal(err)
 		}
 	}

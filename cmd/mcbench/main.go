@@ -19,12 +19,12 @@
 //     understate the win; the modeled arms price exactly the serial-master
 //     term the sharding divides;
 //   - jobs/sec of the *service plane* proper: near-zero-physics jobs
-//     drained twice on the same host — once by legacy-style per-chunk
-//     gob-tally clients (the PR 3 wire behaviour, still spoken by the
-//     protocol), once by the v3 batched pre-reducing clients — so the
-//     result-plane overhaul is measured against itself, not against
-//     photon transport — plus the same workload with the workers'
-//     piggybacked telemetry reports on vs off, pricing them;
+//     drained by the batched pre-reducing clients, so the result plane is
+//     measured on its own, not against photon transport, with the
+//     per-chunk overhead left after subtracting the same chunks' physics
+//     — plus the same workload with the workers' piggybacked telemetry
+//     reports on vs off, pricing them (the retired per-chunk result
+//     path's A/B lives on in BENCH_pr4.json);
 //   - the end-to-end distributed check: one realistic scoring job run
 //     locally with RunParallel and over a 3-worker in-memory fleet, with
 //     wire bytes per chunk under the gob and compact tally codecs.
@@ -34,6 +34,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -48,7 +50,6 @@ import (
 	"repro/internal/detector"
 	"repro/internal/distsys"
 	"repro/internal/mc"
-	"repro/internal/protocol"
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/service"
@@ -76,20 +77,15 @@ type Report struct {
 	RegistryJobs       int     `json:"registryJobs"`
 	RegistryJobsPerSec float64 `json:"registryJobsPerSec"`
 
-	// Service-plane A/B: identical near-zero-physics jobs drained by
-	// legacy per-chunk clients vs v3 batched clients.
+	// Service plane: near-zero-physics jobs drained by batched clients.
 	ServicePlaneJobs              int     `json:"servicePlaneJobs"`
 	ServicePlaneChunksPerJob      int     `json:"servicePlaneChunksPerJob"`
-	ServicePlaneLegacyJobsPerSec  float64 `json:"servicePlaneLegacyJobsPerSec"`
 	ServicePlaneBatchedJobsPerSec float64 `json:"servicePlaneBatchedJobsPerSec"`
-	ServicePlaneSpeedup           float64 `json:"servicePlaneSpeedup"`
 	// Per-chunk overhead after subtracting the measured compute cost of
-	// the same chunks run directly — the "fixed per-chunk overhead of the
-	// distributed path" this PR attacks.
+	// the same chunks run directly — the fixed per-chunk overhead of the
+	// distributed path.
 	ServicePlanePhysicsUsPerChunk float64 `json:"servicePlanePhysicsUsPerChunk"`
-	OverheadLegacyUsPerChunk      float64 `json:"overheadLegacyUsPerChunk"`
 	OverheadBatchedUsPerChunk     float64 `json:"overheadBatchedUsPerChunk"`
-	ServicePlaneOverheadReduction float64 `json:"servicePlaneOverheadReduction"`
 
 	// Telemetry A/B: the same batched workload with the workers'
 	// piggybacked reports on (the default) vs off, server options
@@ -204,22 +200,14 @@ func main() {
 	defaultOpts := service.Options{DrainOnEmpty: true, CacheSize: -1}
 	rep.ServicePlaneJobs = planeJobs
 	rep.ServicePlaneChunksPerJob = planeChunks
-	rep.ServicePlaneLegacyJobsPerSec = servicePlaneRate(planeJobs, planeChunks, *workers, legacyClient, defaultOpts)
 	rep.ServicePlaneBatchedJobsPerSec = servicePlaneRate(planeJobs, planeChunks, *workers, batchedClient, defaultOpts)
-	rep.ServicePlaneSpeedup = rep.ServicePlaneBatchedJobsPerSec / rep.ServicePlaneLegacyJobsPerSec
 	rep.ServicePlanePhysicsUsPerChunk = servicePlanePhysics(planeJobs, planeChunks)
-	perChunk := func(jobsPerSec float64) float64 {
-		return 1e6/(jobsPerSec*float64(planeChunks)) - rep.ServicePlanePhysicsUsPerChunk
-	}
-	rep.OverheadLegacyUsPerChunk = perChunk(rep.ServicePlaneLegacyJobsPerSec)
-	rep.OverheadBatchedUsPerChunk = perChunk(rep.ServicePlaneBatchedJobsPerSec)
-	rep.ServicePlaneOverheadReduction = rep.OverheadLegacyUsPerChunk / rep.OverheadBatchedUsPerChunk
-	fmt.Printf("service plane:  %.1f legacy vs %.1f batched jobs/sec (%.2fx, %d jobs × %d chunks); "+
-		"overhead %.1f → %.1f µs/chunk (%.2fx) over %.1f µs physics\n",
-		rep.ServicePlaneLegacyJobsPerSec, rep.ServicePlaneBatchedJobsPerSec,
-		rep.ServicePlaneSpeedup, planeJobs, planeChunks,
-		rep.OverheadLegacyUsPerChunk, rep.OverheadBatchedUsPerChunk,
-		rep.ServicePlaneOverheadReduction, rep.ServicePlanePhysicsUsPerChunk)
+	rep.OverheadBatchedUsPerChunk = 1e6/(rep.ServicePlaneBatchedJobsPerSec*float64(planeChunks)) -
+		rep.ServicePlanePhysicsUsPerChunk
+	fmt.Printf("service plane:  %.1f jobs/sec (%d jobs × %d chunks); "+
+		"overhead %.1f µs/chunk over %.1f µs physics\n",
+		rep.ServicePlaneBatchedJobsPerSec, planeJobs, planeChunks,
+		rep.OverheadBatchedUsPerChunk, rep.ServicePlanePhysicsUsPerChunk)
 
 	// Telemetry A/B on the wire-bound workload, where a report's marginal
 	// bytes would show if they cost anything. The arms differ ONLY in the
@@ -330,76 +318,6 @@ func batchedClient(rw net.Conn, name string) {
 // "off" arm of the telemetry A/B.
 func quietClient(rw net.Conn, name string) {
 	distsys.Work(rw, distsys.WorkerOptions{Name: name, DisableTelemetry: true})
-}
-
-// legacyClient reproduces the PR 3-era wire behaviour on today's protocol:
-// one TaskRequest/TaskAssign round trip plus one TaskResult/ResultAck
-// round trip per chunk, the tally travelling as a gob *mc.Tally. The
-// service still speaks this path, which makes it the honest baseline for
-// the result-plane A/B.
-func legacyClient(rw net.Conn, name string) {
-	pc := protocol.NewConn(rw)
-	defer pc.Close()
-	if err := pc.Send(&protocol.Message{Type: protocol.MsgHello,
-		Hello: &protocol.Hello{Version: protocol.Version, Name: name}}); err != nil {
-		return
-	}
-	if _, err := pc.Recv(); err != nil {
-		return
-	}
-	type rt struct {
-		cfg     *mc.Config
-		seed    uint64
-		streams int
-		fan     int
-	}
-	jobs := map[uint64]*rt{}
-	var known []uint64
-	for {
-		if err := pc.Send(&protocol.Message{Type: protocol.MsgTaskRequest,
-			Request: &protocol.TaskRequest{KnownJobs: known}}); err != nil {
-			return
-		}
-		msg, err := pc.Recv()
-		if err != nil {
-			return
-		}
-		switch msg.Type {
-		case protocol.MsgTaskAssign:
-			a := msg.Assign
-			r := jobs[a.JobID]
-			if r == nil {
-				if a.Job == nil {
-					return
-				}
-				cfg, err := a.Job.Spec.Build()
-				if err != nil {
-					return
-				}
-				r = &rt{cfg: cfg, seed: a.Job.Seed, streams: a.Job.Streams, fan: a.Job.Fan}
-				jobs[a.JobID] = r
-				known = append(known, a.JobID)
-			}
-			tally, err := mc.RunStreamFan(r.cfg, a.Photons, r.seed, a.Stream, r.streams, r.fan)
-			if err != nil {
-				return
-			}
-			if err := pc.Send(&protocol.Message{Type: protocol.MsgTaskResult,
-				Result: &protocol.TaskResult{JobID: a.JobID, ChunkID: a.ChunkID, Tally: tally}}); err != nil {
-				return
-			}
-			if _, err := pc.Recv(); err != nil {
-				return
-			}
-		case protocol.MsgNoWork:
-			if msg.NoWork.Done {
-				return
-			}
-			time.Sleep(msg.NoWork.RetryIn)
-		default:
-			return
-		}
-	}
 }
 
 // registryRate submits many small distinct jobs to one registry, drains
@@ -636,14 +554,14 @@ func distributedBench(rep *Report, photons int64, workers int) {
 	if err != nil {
 		fatal(err)
 	}
-	gobBytes, err := mc.GobTallyCodec{}.EncodeTally(chunkTally)
-	if err != nil {
+	var gobBytes bytes.Buffer
+	if err := gob.NewEncoder(&gobBytes).Encode(chunkTally); err != nil {
 		fatal(err)
 	}
 	compactBytes := mc.AppendTally(nil, chunkTally)
-	rep.WireBytesPerChunkGob = len(gobBytes)
+	rep.WireBytesPerChunkGob = gobBytes.Len()
 	rep.WireBytesPerChunkCompact = len(compactBytes)
-	rep.WireBytesRatio = float64(len(gobBytes)) / float64(len(compactBytes))
+	rep.WireBytesRatio = float64(gobBytes.Len()) / float64(len(compactBytes))
 
 	start := time.Now()
 	if _, err := mc.RunParallel(cfg, photons, seed, 0); err != nil {

@@ -1,9 +1,9 @@
-// Crash-chaos end-to-end test: a real mcqueue binary is SIGKILLed at
-// each WAL crashpoint mid-fleet-run, restarted on the same journal, and
-// must lose no accepted job and finish with a tally byte-identical to an
-// uninterrupted run's. The worker lives in the test process and rides
-// across the restart on WorkLoop's reconnect backoff — exactly the
-// production fleet shape.
+// Durability end-to-end tests: a real mcqueue binary is SIGKILLed at each
+// WAL crashpoint mid-fleet-run, or SIGTERMed with a job half done,
+// restarted on the same journal, and must lose no accepted job and finish
+// with a tally byte-identical to an uninterrupted run's. The worker lives
+// in the test process and rides across the restart on WorkLoop's
+// reconnect backoff — exactly the production fleet shape.
 package main
 
 import (
@@ -72,11 +72,11 @@ type queueProc struct {
 // segments, 8 KiB compaction trigger, snapshot every 2 chunks) so every
 // crashpoint is reachable within one small job. crashEnv arms a
 // fault-injection crashpoint in the child; nil runs it clean.
-func startQueue(t *testing.T, fleetAddr, httpAddr, walDir, ckptDir string, crashEnv []string) *queueProc {
+func startQueue(t *testing.T, fleetAddr, httpAddr, walDir string, crashEnv []string) *queueProc {
 	t.Helper()
 	cmd := exec.Command(mcqueueBin,
 		"-addr", fleetAddr, "-http", httpAddr,
-		"-wal-dir", walDir, "-checkpoint-dir", ckptDir,
+		"-wal-dir", walDir,
 		"-wal-fsync", "interval",
 		"-wal-segment-bytes", "2048",
 		"-wal-compact-bytes", "8192",
@@ -260,6 +260,23 @@ func shutdown(t *testing.T, qp *queueProc) {
 	}
 }
 
+// baselineRun runs the chaos job on the same binary and WAL geometry,
+// never interrupted, and returns its ID and tally.
+func baselineRun(t *testing.T) (string, json.RawMessage) {
+	t.Helper()
+	fleetAddr, httpAddr := freeAddr(t), freeAddr(t)
+	base := startQueue(t, fleetAddr, httpAddr, t.TempDir(), nil)
+	waitReady(t, httpAddr, base)
+	startWorker(t, fleetAddr)
+	id, err := submitJob(t, httpAddr)
+	if err != nil {
+		t.Fatalf("baseline submit: %v", err)
+	}
+	tally := waitTally(t, httpAddr, id, 2*time.Minute)
+	shutdown(t, base)
+	return id, tally
+}
+
 // TestCrashChaosEndToEnd SIGKILLs a live mcqueue at every WAL crashpoint
 // in turn — torn frame staged on disk, post-append pre-fsync, mid
 // segment rotation, mid compaction (new segment durable, old ones not
@@ -270,18 +287,7 @@ func TestCrashChaosEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash chaos e2e is not short")
 	}
-
-	// Baseline: same binary, same WAL geometry, never interrupted.
-	baseFleet, baseHTTP := freeAddr(t), freeAddr(t)
-	base := startQueue(t, baseFleet, baseHTTP, t.TempDir(), t.TempDir(), nil)
-	waitReady(t, baseHTTP, base)
-	startWorker(t, baseFleet)
-	baseID, err := submitJob(t, baseHTTP)
-	if err != nil {
-		t.Fatalf("baseline submit: %v", err)
-	}
-	baseTally := waitTally(t, baseHTTP, baseID, 2*time.Minute)
-	shutdown(t, base)
+	baseID, baseTally := baselineRun(t)
 
 	points := []struct {
 		point string
@@ -297,8 +303,8 @@ func TestCrashChaosEndToEnd(t *testing.T) {
 	for _, pt := range points {
 		t.Run(pt.point, func(t *testing.T) {
 			fleetAddr, httpAddr := freeAddr(t), freeAddr(t)
-			walDir, ckptDir := t.TempDir(), t.TempDir()
-			crashed := startQueue(t, fleetAddr, httpAddr, walDir, ckptDir, []string{
+			walDir := t.TempDir()
+			crashed := startQueue(t, fleetAddr, httpAddr, walDir, []string{
 				fault.EnvPoint + "=" + pt.point,
 				fault.EnvAfter + "=" + fmt.Sprint(pt.after),
 			})
@@ -319,7 +325,7 @@ func TestCrashChaosEndToEnd(t *testing.T) {
 			}
 
 			// Restart, disarmed, on the same journal and ports.
-			restarted := startQueue(t, fleetAddr, httpAddr, walDir, ckptDir, nil)
+			restarted := startQueue(t, fleetAddr, httpAddr, walDir, nil)
 			waitReady(t, httpAddr, restarted)
 			if replayed := metricValue(t, httpAddr, "wal_replay_records_total"); replayed <= 0 {
 				t.Fatalf("restart replayed %v journal records, want > 0", replayed)
@@ -341,4 +347,81 @@ func TestCrashChaosEndToEnd(t *testing.T) {
 			shutdown(t, restarted)
 		})
 	}
+}
+
+// TestShutdownRestartEndToEnd is the polite-stop counterpart of the crash
+// matrix: a worker drains after part of the job, mcqueue is SIGTERMed with
+// no worker attached, and a restart on the same journal — mcqueue's only
+// durable state — must finish the job under its original ID with a tally
+// byte-identical to an uninterrupted run's.
+func TestShutdownRestartEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shutdown/restart e2e is not short")
+	}
+	baseID, baseTally := baselineRun(t)
+
+	fleetAddr, httpAddr := freeAddr(t), freeAddr(t)
+	walDir := t.TempDir()
+	first := startQueue(t, fleetAddr, httpAddr, walDir, nil)
+	waitReady(t, httpAddr, first)
+	id, err := submitJob(t, httpAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != baseID {
+		t.Fatalf("job ID %s differs from baseline %s", id, baseID)
+	}
+	conn, err := net.Dial("tcp", fleetAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := distsys.Work(conn, distsys.WorkerOptions{
+		Name: "drainer", FlushChunks: 1, DrainAfterChunks: 40}); err != nil {
+		t.Fatalf("draining worker: %v", err)
+	}
+	before := jobStatus(t, httpAddr, id)
+	if before.State == "done" || before.CompletedChunks == 0 {
+		t.Fatalf("job not part-way before shutdown: %+v", before)
+	}
+
+	shutdown(t, first)
+	if first.err != nil {
+		t.Fatalf("SIGTERM exit: %v (final compaction failed?)\n%s", first.err, first.out.String())
+	}
+
+	restarted := startQueue(t, fleetAddr, httpAddr, walDir, nil)
+	waitReady(t, httpAddr, restarted)
+	if replayed := metricValue(t, httpAddr, "service_jobs_replayed_total"); replayed < 1 {
+		t.Fatalf("restart replayed %v jobs, want the accepted one", replayed)
+	}
+	if after := jobStatus(t, httpAddr, id); after.CompletedChunks < before.CompletedChunks {
+		t.Fatalf("restart lost progress: %d chunks completed, had %d",
+			after.CompletedChunks, before.CompletedChunks)
+	}
+	startWorker(t, fleetAddr)
+	if tally := waitTally(t, httpAddr, id, 2*time.Minute); !bytes.Equal(tally, baseTally) {
+		t.Fatalf("resumed tally differs from uninterrupted run\nbase: %.120s...\ngot:  %.120s...",
+			baseTally, tally)
+	}
+	shutdown(t, restarted)
+}
+
+// jobStatus fetches GET /jobs/{id}; any answer but 200 fails the test.
+func jobStatus(t *testing.T, httpAddr, id string) (st struct {
+	State           string `json:"state"`
+	CompletedChunks int    `json:"completedChunks"`
+}) {
+	t.Helper()
+	resp, err := http.Get("http://" + httpAddr + "/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /jobs/%s: http %d", id, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
 }

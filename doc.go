@@ -58,17 +58,18 @@
 //	// curl :8080/stats            → fleet/queue/cache health
 //
 // mcserver remains the single-job CLI (a one-job registry that drains its
-// fleet on completion); both binaries checkpoint on Ctrl-C so a long job
-// is never lost.
+// fleet on completion) and checkpoints its job to a file on Ctrl-C;
+// mcqueue's jobs survive restarts through its journal.
 //
 // # Crash durability
 //
-// mcqueue survives more than polite deaths: started with -wal-dir, it
-// writes every control-plane transition (job accepted, chunk batches
-// reduced, amortized tally snapshots, finalize, cancel) to a segmented,
-// CRC32C-framed write-ahead journal (internal/wal) before serving it.
-// After a SIGKILL, OOM-kill or power cut, the restart replays the
-// journal before /readyz flips: accepted jobs come back under their
+// mcqueue survives polite and impolite deaths alike: it writes every
+// control-plane transition (job accepted, chunk batches reduced,
+// amortized tally snapshots, finalize, cancel) to a segmented,
+// CRC32C-framed write-ahead journal (internal/wal; -wal-dir, mcqueue-wal
+// by default) before serving it.
+// After a SIGTERM, SIGKILL, OOM-kill or power cut, the restart replays
+// the journal before /readyz flips: accepted jobs come back under their
 // original IDs, finished jobs re-seed the result cache, and anything
 // reduced since the last snapshot is recomputed — chunk tallies are pure
 // functions of (seed, stream, fan) — so the resumed tally is

@@ -236,6 +236,12 @@ func TestFailedWorkerChunksRequeued(t *testing.T) {
 	}
 }
 
+// oneChunkBatch wraps one chunk's tally in a standalone result batch.
+func oneChunkBatch(jobID uint64, chunk int, t *mc.Tally) *protocol.Message {
+	return &protocol.Message{Type: protocol.MsgResultBatch, Batch: &protocol.ResultBatch{
+		Groups: []protocol.BatchGroup{{JobID: jobID, Chunks: []int{chunk}, TallyData: mc.AppendTally(nil, t)}}}}
+}
+
 func TestDuplicateResultIgnored(t *testing.T) {
 	// Drive the protocol by hand to deliver the same chunk result twice;
 	// the reduction must stay exactly-once.
@@ -284,15 +290,13 @@ func TestDuplicateResultIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	result := &protocol.Message{Type: protocol.MsgTaskResult, Result: &protocol.TaskResult{
-		JobID: assign.JobID, ChunkID: assign.ChunkID, Tally: tally,
-	}}
+	result := oneChunkBatch(assign.JobID, assign.ChunkID, tally)
 	send(result)
-	if ack := recv().Ack; ack.Duplicate {
+	if ack := recv().BatchAck.Acks[0]; ack.Duplicate {
 		t.Fatal("first delivery flagged duplicate")
 	}
 	send(result) // replay the same chunk
-	if ack := recv().Ack; !ack.Duplicate {
+	if ack := recv().BatchAck.Acks[0]; !ack.Duplicate {
 		t.Fatal("replayed result not flagged duplicate")
 	}
 
@@ -303,9 +307,7 @@ func TestDuplicateResultIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(&protocol.Message{Type: protocol.MsgTaskResult, Result: &protocol.TaskResult{
-		JobID: assign2.JobID, ChunkID: assign2.ChunkID, Tally: tally2,
-	}})
+	send(oneChunkBatch(assign2.JobID, assign2.ChunkID, tally2))
 	recv() // ack
 
 	res, err := dm.Wait(30 * time.Second)
@@ -369,10 +371,8 @@ func TestForgedJobIDRejected(t *testing.T) {
 	}
 
 	// A result with a forged JobID must be rejected, not reduced.
-	send(&protocol.Message{Type: protocol.MsgTaskResult, Result: &protocol.TaskResult{
-		JobID: assign.JobID ^ 0xdeadbeef, ChunkID: assign.ChunkID, Tally: tally,
-	}})
-	if ack := recv().Ack; !ack.Rejected {
+	send(oneChunkBatch(assign.JobID^0xdeadbeef, assign.ChunkID, tally))
+	if ack := recv().BatchAck.Acks[0]; !ack.Rejected {
 		t.Fatal("forged JobID not rejected")
 	}
 	// So must a result for a chunk this session was never assigned.
@@ -381,10 +381,8 @@ func TestForgedJobIDRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(&protocol.Message{Type: protocol.MsgTaskResult, Result: &protocol.TaskResult{
-		JobID: assign.JobID, ChunkID: otherChunk, Tally: otherTally,
-	}})
-	if ack := recv().Ack; !ack.Rejected {
+	send(oneChunkBatch(assign.JobID, otherChunk, otherTally))
+	if ack := recv().BatchAck.Acks[0]; !ack.Rejected {
 		t.Fatal("result for unassigned chunk not rejected")
 	}
 	if done, _ := dm.Progress(); done != 0 {

@@ -18,8 +18,8 @@
 // pre-reduced per job into a batch buffer, and flushed as one ResultBatch
 // (compact-codec tallies) riding the next task request — with the
 // buffered chunks advertised as Holding so the server keeps their
-// assignments alive, and per-chunk acks preserving the rejection and
-// duplicate semantics of the single-result path.
+// assignments alive, and per-chunk acks reporting each chunk as reduced,
+// duplicate or rejected.
 package distsys
 
 import (

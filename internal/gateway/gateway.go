@@ -10,7 +10,7 @@
 // Requests flow three ways:
 //
 //   - POST /jobs is keyed, checked against the gateway's shared result
-//     tier (exact and physics-keyed meets-or-exceeds, filled from result
+//     tier (a service.Cache like each shard's, filled from result
 //     responses it has proxied), admission-checked when the gateway owns
 //     the tenant buckets, and then forwarded to the owning shard.
 //   - GET/DELETE /jobs/{id}... is routed by the ID alone: job IDs are
@@ -86,7 +86,7 @@ type Gateway struct {
 	maxBody   int64
 	client    *http.Client
 	log       *slog.Logger
-	cache     *resultCache
+	cache     *service.Cache
 
 	mu     sync.Mutex
 	routed map[uint64]routeInfo // job ID -> keys, for result-tier fill
@@ -100,7 +100,6 @@ type Gateway struct {
 // later proxied result response can be filed into the shared tier.
 type routeInfo struct {
 	key, pkey service.Key
-	target    *mc.Target
 }
 
 // mintedJob is a submission the gateway answered from its own result
@@ -113,7 +112,7 @@ type mintedJob struct {
 	target    *mc.Target
 	targetMet bool
 	born      time.Time
-	res       *cachedResult
+	tally     *mc.Tally
 }
 
 // routedMemoMax bounds the ID->key memo and the minted-job map; both
@@ -160,7 +159,7 @@ func New(opts Options) (*Gateway, error) {
 		maxBody:   opts.MaxBodyBytes,
 		client:    client,
 		log:       log,
-		cache:     newResultCache(opts.CacheSize),
+		cache:     service.NewCache(opts.CacheSize),
 		routed:    make(map[uint64]routeInfo),
 		minted:    make(map[uint64]*mintedJob),
 	}
@@ -182,7 +181,7 @@ func New(opts Options) (*Gateway, error) {
 	}
 	oreg.GaugeFunc("gateway_cache_entries",
 		"Results held in the gateway's shared tier.",
-		func() float64 { return float64(g.cache.size()) })
+		func() float64 { n, _, _ := g.cache.Stats(); return float64(n) })
 	oreg.GaugeFunc("gateway_shards",
 		"Configured shard count (the key-space partition width).",
 		func() float64 { return float64(len(g.shards)) })
@@ -303,13 +302,7 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 	// Shared result tier: a hit is answered here, with the same ID the
 	// owning shard would mint, after the same one-job-token admission
 	// debit a shard-local cache hit pays.
-	hit := g.cache.get(key)
-	index := "exact"
-	if hit == nil && spec.Target != nil {
-		hit = g.cache.getMeeting(pkey, spec.Target)
-		index = "physics"
-	}
-	if hit != nil {
+	if hit, index := g.cache.Lookup(key, pkey, spec.Target); hit != nil {
 		if g.admission != nil {
 			if v := g.admission.Admit(tenant, 0); !v.OK {
 				g.met.sheds.Inc()
@@ -322,9 +315,9 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 			idHex:     fmt.Sprintf("%016x", id),
 			tenant:    tenant,
 			target:    spec.Target,
-			targetMet: spec.Target != nil && spec.Target.MetBy(hit.tally),
+			targetMet: spec.Target != nil && spec.Target.MetBy(hit),
 			born:      time.Now(),
-			res:       hit,
+			tally:     hit,
 		}
 		g.mu.Lock()
 		if len(g.minted) >= routedMemoMax {
@@ -377,7 +370,7 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 		var acc service.JobAccepted
 		if json.Unmarshal(respBody, &acc) == nil {
 			if id, err := strconv.ParseUint(acc.ID, 16, 64); err == nil {
-				g.rememberRoute(id, routeInfo{key: key, pkey: pkey, target: spec.Target})
+				g.rememberRoute(id, routeInfo{key: key, pkey: pkey})
 			}
 		}
 	}
@@ -453,11 +446,7 @@ func (g *Gateway) fillCache(id uint64, respBody []byte) {
 	if err := json.Unmarshal(respBody, &res); err != nil || res.Tally == nil {
 		return
 	}
-	g.cache.put(&cachedResult{
-		key: info.key, pkey: info.pkey,
-		target: res.Target, targetMet: res.TargetMet,
-		elapsed: res.Elapsed, tally: res.Tally,
-	})
+	g.cache.Put(info.key, info.pkey, res.Tally)
 }
 
 func (g *Gateway) serveMinted(w http.ResponseWriter, req *http.Request, m *mintedJob) {
@@ -469,7 +458,7 @@ func (g *Gateway) serveMinted(w http.ResponseWriter, req *http.Request, m *minte
 		writeJSON(w, http.StatusOK, service.JobResultBody{
 			ID: m.idHex, CacheHit: true,
 			Target: m.target, TargetMet: m.targetMet,
-			Elapsed: m.res.elapsed, Tally: m.res.tally,
+			Tally: m.tally,
 		})
 	case strings.HasSuffix(req.URL.Path, "/events"), strings.HasSuffix(req.URL.Path, "/spans"):
 		// Born done at the gateway: no lifecycle ever ran, the rings are
@@ -483,7 +472,7 @@ func (g *Gateway) serveMinted(w http.ResponseWriter, req *http.Request, m *minte
 		writeJSON(w, http.StatusOK, service.JobStatus{
 			IDHex: m.idHex, Tenant: m.tenant,
 			State: service.StateDone.String(), CacheHit: true,
-			TotalPhotons: m.res.tally.Launched,
+			TotalPhotons: m.tally.Launched,
 			Target:       m.target, TargetMet: m.targetMet,
 			Submitted: m.born, Finished: m.born,
 		})

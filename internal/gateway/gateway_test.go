@@ -7,7 +7,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -524,5 +526,87 @@ func TestGatewayTenantFairnessAcrossShards(t *testing.T) {
 	}
 	if st.Tenants["flood"].Shed != 0 {
 		t.Fatalf("shard-side shed %d, want 0 (gateway owns admission)", st.Tenants["flood"].Shed)
+	}
+}
+
+// TestSharedCachedTallyConcurrentReads serves one cached tally to many
+// readers at once. On the shard, two born-done resubmissions share the
+// sealed tally with the original job; at the gateway, minted jobs share
+// the tier's entry. GET /result on all of them runs concurrently — under
+// -race any write to a shared tally is reported — and every body carries
+// the same tally bytes.
+func TestSharedCachedTallyConcurrentReads(t *testing.T) {
+	reg, shard := shardServer(t, service.Options{}, 2)
+	_, gw := gatewayServer(t, Options{Shards: [][]string{{shard.URL}}})
+	req := service.JobRequest{Spec: slabSpec(4), Photons: 400, ChunkPhotons: 100, Seed: 5}
+	orig := submitJob(t, gw.URL, "", req)
+	waitDone(t, gw.URL, orig.ID)
+	if code, raw := get(t, gw.URL+"/jobs/"+orig.ID+"/result"); code != http.StatusOK {
+		t.Fatalf("original result: http %d: %s", code, raw)
+	}
+
+	shardIDs := []string{orig.ID}
+	for i := 0; i < 2; i++ {
+		acc := submitJob(t, shard.URL, "", req)
+		if !acc.Cached {
+			t.Fatalf("shard resubmission %d not a cache hit: %+v", i, acc)
+		}
+		shardIDs = append(shardIDs, acc.ID)
+	}
+	minted := submitJob(t, gw.URL, "", req)
+	if !minted.Cached {
+		t.Fatalf("gateway resubmission not served by the tier: %+v", minted)
+	}
+	var urls []string
+	var first *mc.Tally
+	for _, hex := range shardIDs {
+		urls = append(urls, shard.URL+"/jobs/"+hex+"/result")
+		id, err := strconv.ParseUint(hex, 16, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := reg.Get(id).Wait(time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = res.Tally
+		} else if res.Tally != first {
+			t.Fatalf("born-done job %s does not share the cached tally", hex)
+		}
+	}
+	urls = append(urls, gw.URL+"/jobs/"+minted.ID+"/result", gw.URL+"/jobs/"+minted.ID+"/result")
+
+	tallies := make([]string, len(urls))
+	var wg sync.WaitGroup
+	for i, u := range urls {
+		wg.Add(1)
+		go func(i int, u string) {
+			defer wg.Done()
+			resp, err := http.Get(u)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var body struct {
+				Tally json.RawMessage `json:"tally"`
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("GET %s: http %d", u, resp.StatusCode)
+				return
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Error(err)
+				return
+			}
+			tallies[i] = string(body.Tally)
+		}(i, u)
+	}
+	wg.Wait()
+	for i, tb := range tallies {
+		if tb == "" || tb != tallies[0] {
+			t.Fatalf("result %d (%s) tally differs from the original's", i, urls[i])
+		}
 	}
 }

@@ -1,9 +1,7 @@
 package mc
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 
@@ -11,67 +9,17 @@ import (
 	"repro/internal/stats"
 )
 
-// TallyCodecVersion is the wire version byte leading the compact encoding
+// TallyFormatVersion is the wire version byte leading the compact encoding
 // of a legacy (moment-free) tally. Decoders reject unknown versions, so
 // the format can evolve without silently misreading old bytes.
-const TallyCodecVersion = 1
+const TallyFormatVersion = 1
 
-// TallyCodecVersionMoments is the version byte of frames carrying the
+// TallyFormatVersionMoments is the version byte of frames carrying the
 // chunk-level moment accumulators of precision-targeted jobs. The encoder
 // emits it only when Tally.Moments is non-nil, so every moment-free tally
 // — in particular every fixed-count legacy job's chunks — still encodes
 // byte-identically to version 1.
-const TallyCodecVersionMoments = 2
-
-// TallyCodec serialises tallies. The distributed result plane uses the
-// compact codec; checkpoints and the content-addressed cache key stay on
-// encoding/gob (GobTallyCodec / plain gob of the enclosing structs), so
-// their on-disk formats are untouched by wire-format evolution.
-type TallyCodec interface {
-	EncodeTally(t *Tally) ([]byte, error)
-	DecodeTally(data []byte) (*Tally, error)
-}
-
-// CompactTallyCodec is the hand-rolled binary tally codec used on the wire:
-// a version byte, varint-coded integers, raw little-endian float64 bits,
-// and zero-run sparse coding for the slice payloads (per-region arrays,
-// scoring grids, histograms), which are mostly zero for a single chunk.
-// Encoding is exact — float64 bit patterns round-trip unchanged — so a
-// decoded chunk tally merges to bit-identical results.
-type CompactTallyCodec struct{}
-
-// EncodeTally implements TallyCodec.
-func (CompactTallyCodec) EncodeTally(t *Tally) ([]byte, error) {
-	return AppendTally(nil, t), nil
-}
-
-// DecodeTally implements TallyCodec.
-func (CompactTallyCodec) DecodeTally(data []byte) (*Tally, error) {
-	return DecodeTally(data)
-}
-
-// GobTallyCodec adapts encoding/gob to the TallyCodec interface — the
-// reference codec the compact format is benchmarked against, and the
-// serialisation checkpoints keep using.
-type GobTallyCodec struct{}
-
-// EncodeTally implements TallyCodec.
-func (GobTallyCodec) EncodeTally(t *Tally) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(t); err != nil {
-		return nil, fmt.Errorf("mc: gob tally encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeTally implements TallyCodec.
-func (GobTallyCodec) DecodeTally(data []byte) (*Tally, error) {
-	t := new(Tally)
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(t); err != nil {
-		return nil, fmt.Errorf("mc: gob tally decode: %w", err)
-	}
-	return t, nil
-}
+const TallyFormatVersionMoments = 2
 
 // Optional-section presence flags (bit positions in the flags varint).
 // tallyHasMoments is only valid in version-2 frames.
@@ -95,9 +43,9 @@ const (
 // extended slice. Passing buf[:0] of a retained buffer makes steady-state
 // encoding allocation-free; the worker reuses one buffer per session.
 func AppendTally(buf []byte, t *Tally) []byte {
-	version := byte(TallyCodecVersion)
+	version := byte(TallyFormatVersion)
 	if t.Moments != nil {
-		version = TallyCodecVersionMoments
+		version = TallyFormatVersionMoments
 	}
 	buf = append(buf, version)
 	var flags uint64
@@ -171,15 +119,15 @@ func DecodeTallyInto(t *Tally, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if version != TallyCodecVersion && version != TallyCodecVersionMoments {
+	if version != TallyFormatVersion && version != TallyFormatVersionMoments {
 		return fmt.Errorf("mc: tally codec: unsupported version %d (want %d or %d)",
-			version, TallyCodecVersion, TallyCodecVersionMoments)
+			version, TallyFormatVersion, TallyFormatVersionMoments)
 	}
 	flags, err := d.uvarint()
 	if err != nil {
 		return err
 	}
-	if version < TallyCodecVersionMoments && flags&tallyHasMoments != 0 {
+	if version < TallyFormatVersionMoments && flags&tallyHasMoments != 0 {
 		return fmt.Errorf("mc: tally codec: version %d frame carries moments", version)
 	}
 	if t.Launched, err = d.varint(); err != nil {

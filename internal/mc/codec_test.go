@@ -2,6 +2,7 @@ package mc_test
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"runtime"
 	"testing"
@@ -34,23 +35,19 @@ func TestCompactCodecRoundTripGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var codec mc.CompactTallyCodec
-			blob, err := codec.EncodeTally(tally)
-			if err != nil {
-				t.Fatal(err)
-			}
-			back, err := codec.DecodeTally(blob)
+			blob := mc.AppendTally(nil, tally)
+			back, err := mc.DecodeTally(blob)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(tallyJSON(t, tally), tallyJSON(t, back)) {
 				t.Fatal("compact codec round trip changed the tally")
 			}
-			wantVersion := byte(mc.TallyCodecVersion)
+			wantVersion := byte(mc.TallyFormatVersion)
 			if tally.Moments != nil {
 				// Only moment-carrying tallies pay the version bump; every
 				// legacy fixture must keep its v1 bytes.
-				wantVersion = mc.TallyCodecVersionMoments
+				wantVersion = mc.TallyFormatVersionMoments
 			}
 			if blob[0] != wantVersion {
 				t.Fatalf("frame leads with %d, want version byte %d", blob[0], wantVersion)
@@ -58,12 +55,12 @@ func TestCompactCodecRoundTripGolden(t *testing.T) {
 
 			// The mostly-zero payloads are what the sparse runs exist for;
 			// the compact frame must beat gob on every committed scenario.
-			gobBlob, err := mc.GobTallyCodec{}.EncodeTally(tally)
-			if err != nil {
+			var gobBlob bytes.Buffer
+			if err := gob.NewEncoder(&gobBlob).Encode(tally); err != nil {
 				t.Fatal(err)
 			}
-			if len(blob) >= len(gobBlob) {
-				t.Errorf("compact %dB not smaller than gob %dB", len(blob), len(gobBlob))
+			if len(blob) >= gobBlob.Len() {
+				t.Errorf("compact %dB not smaller than gob %dB", len(blob), gobBlob.Len())
 			}
 		})
 	}
@@ -153,7 +150,7 @@ func TestCompactCodecRejectsBadFrames(t *testing.T) {
 		t.Error("empty frame accepted")
 	}
 	bad := append([]byte(nil), blob...)
-	bad[0] = mc.TallyCodecVersionMoments + 1
+	bad[0] = mc.TallyFormatVersionMoments + 1
 	if _, err := mc.DecodeTally(bad); err == nil {
 		t.Error("wrong version accepted")
 	}

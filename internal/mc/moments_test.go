@@ -235,10 +235,10 @@ func TestQuickCodecRoundTripExact(t *testing.T) {
 		tally := randomBitsTally(r)
 		frame := mc.AppendTally(nil, tally)
 		if tally.Moments != nil {
-			if frame[0] != mc.TallyCodecVersionMoments {
+			if frame[0] != mc.TallyFormatVersionMoments {
 				return false
 			}
-		} else if frame[0] != mc.TallyCodecVersion {
+		} else if frame[0] != mc.TallyFormatVersion {
 			return false
 		}
 		if err := mc.DecodeTallyInto(scratch, frame); err != nil {

@@ -80,8 +80,6 @@ func seedMessages(tb testing.TB) []*Message {
 			JobID: 9, ChunkID: 4, Stream: 4, Photons: 1000,
 			Job: &Job{ID: 9, Spec: *spec, Seed: 77, Streams: 8, Fan: 4},
 		}},
-		{Type: MsgTaskResult, Result: &TaskResult{JobID: 9, ChunkID: 4, Elapsed: time.Second, Tally: tally}},
-		{Type: MsgResultAck, Ack: &ResultAck{JobID: 9, ChunkID: 4, Duplicate: true, Reason: "dup"}},
 		{Type: MsgNoWork, NoWork: &NoWork{Done: true, RetryIn: time.Minute}},
 		{Type: MsgError, Error: &Error{Msg: "boom"}},
 		// Protocol v3 frames: a standalone multi-job batch, a task request
@@ -102,6 +100,14 @@ func seedMessages(tb testing.TB) []*Message {
 			{JobID: 9, ChunkID: 4},
 			{JobID: 9, ChunkID: 5, Duplicate: true},
 			{JobID: 12, ChunkID: 0, Rejected: true, Reason: "stale"},
+		}}},
+		// A single chunk's result travels as a one-chunk group, and its
+		// ack as a one-entry batch ack.
+		{Type: MsgResultBatch, Batch: &ResultBatch{Groups: []BatchGroup{
+			{JobID: 9, Chunks: []int{4}, Elapsed: time.Second, TallyData: compact},
+		}}},
+		{Type: MsgBatchAck, BatchAck: &BatchAck{Acks: []ResultAck{
+			{JobID: 9, ChunkID: 4, Duplicate: true, Reason: "dup"},
 		}}},
 		// Protocol v4 frames: an open-ended precision-job descriptor
 		// (Streams 0, Target set) and its moments-carrying batch result.
@@ -153,7 +159,7 @@ func FuzzDecodeMessage(f *testing.F) {
 			if err != nil {
 				return
 			}
-			if m.Type < MsgHello || m.Type > MsgBatchAck {
+			if !m.Type.valid() {
 				t.Fatalf("Recv accepted invalid type %d", int(m.Type))
 			}
 			if m.Request != nil {
@@ -267,9 +273,10 @@ func TestRecvRejectsOversizedKnownJobs(t *testing.T) {
 	}
 }
 
-// TestRecvRejectsInvalidType covers the type-range validation.
+// TestRecvRejectsInvalidType covers the type-range validation, including
+// the retired per-chunk result and ack slots.
 func TestRecvRejectsInvalidType(t *testing.T) {
-	for _, typ := range []MsgType{0, MsgBatchAck + 1, -3} {
+	for _, typ := range []MsgType{0, MsgBatchAck + 1, -3, MsgTaskAssign + 1, MsgTaskAssign + 2} {
 		data := encodeMessages(t, &Message{Type: typ})
 		c := NewConn(readCloser{bytes.NewReader(data)})
 		if _, err := c.Recv(); err == nil {

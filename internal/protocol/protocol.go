@@ -27,7 +27,10 @@ import (
 // piggybacked on the next TaskRequest), tallies travel in the compact
 // mc codec instead of per-result gob, task requests advertise the
 // computed-but-unflushed chunks they are still Holding, jobs carry the
-// multi-core fan width, and acks come back per chunk in a BatchAck.
+// multi-core fan width, and acks come back per chunk in a BatchAck. The
+// per-chunk result message of v1–v3 and its one-ack reply are retired: a
+// v4 handshake admits only batching workers, and Recv rejects their type
+// slots.
 //
 // Version 4 added precision-targeted jobs: a job descriptor may carry a
 // Target and an open-ended stream space (Streams == 0 — the server issues
@@ -50,10 +53,8 @@ const (
 	MsgTaskRequest
 	// MsgTaskAssign hands a chunk to the worker.
 	MsgTaskAssign
-	// MsgTaskResult returns a computed chunk tally.
-	MsgTaskResult
-	// MsgResultAck confirms a result was accepted (or deduplicated).
-	MsgResultAck
+	_ // retired: the per-chunk result of protocol v1–v3
+	_ // retired: the single ack replying to it
 	// MsgNoWork tells a worker there is nothing to do right now.
 	MsgNoWork
 	// MsgError reports a fatal protocol or job error.
@@ -75,10 +76,6 @@ func (t MsgType) String() string {
 		return "task-request"
 	case MsgTaskAssign:
 		return "task-assign"
-	case MsgTaskResult:
-		return "task-result"
-	case MsgResultAck:
-		return "result-ack"
 	case MsgNoWork:
 		return "no-work"
 	case MsgError:
@@ -90,6 +87,12 @@ func (t MsgType) String() string {
 	default:
 		return fmt.Sprintf("MsgType(%d)", int(t))
 	}
+}
+
+// valid reports whether t names a message type this protocol version
+// speaks.
+func (t MsgType) valid() bool {
+	return t >= MsgHello && t <= MsgBatchAck && (t <= MsgTaskAssign || t >= MsgNoWork)
 }
 
 // Hello introduces a worker.
@@ -228,16 +231,6 @@ type ChunkGrant struct {
 // Extra); Recv rejects larger frames.
 const MaxGrantChunks = 64
 
-// TaskResult returns a chunk's partial tally. Since protocol v3 the
-// batched ResultBatch is the workers' primary result path; TaskResult
-// remains for single-result callers and tests.
-type TaskResult struct {
-	JobID   uint64
-	ChunkID int
-	Elapsed time.Duration
-	Tally   *mc.Tally
-}
-
 // MaxBatchChunks bounds the total chunks covered by one ResultBatch;
 // larger frames are malformed or hostile and rejected by Recv before the
 // registry allocates per-chunk bookkeeping.
@@ -277,21 +270,20 @@ func (b *ResultBatch) NumChunks() int {
 }
 
 // BatchAck acknowledges a ResultBatch with exactly one ResultAck per
-// covered chunk, in batch order — the per-chunk duplicate/rejected
-// semantics of the single-result path are unchanged by batching.
+// covered chunk, in batch order.
 type BatchAck struct {
 	Acks []ResultAck
 }
 
-// ResultAck confirms receipt of a result. Duplicate reports (e.g. after a
-// timeout-triggered reassignment races the original worker) are acked with
-// Duplicate=true and discarded by the reducer. Rejected reports that the
-// result did not match any current assignment — a stale worker from a
-// previous run, a cancelled job, or a forged JobID — and was not reduced;
-// the session stays open so the worker can request fresh work.
+// ResultAck confirms receipt of one chunk's result. Duplicate reports
+// (e.g. after a timeout-triggered reassignment races the original worker)
+// are acked with Duplicate=true and discarded by the reducer. Rejected
+// reports that the result did not match any current assignment — a stale
+// worker from a previous run, a cancelled job, or a forged JobID — and was
+// not reduced; the session stays open so the worker can request fresh
+// work.
 type ResultAck struct {
-	// JobID disambiguates acks inside a multi-job BatchAck; single-result
-	// acks set it too.
+	// JobID disambiguates acks inside a multi-job BatchAck.
 	JobID     uint64
 	ChunkID   int
 	Duplicate bool
@@ -322,8 +314,6 @@ type Message struct {
 	Welcome  *Welcome
 	Request  *TaskRequest
 	Assign   *TaskAssign
-	Result   *TaskResult
-	Ack      *ResultAck
 	NoWork   *NoWork
 	Error    *Error
 	Batch    *ResultBatch
@@ -356,6 +346,9 @@ func NewConnMetrics(reg *obs.Registry, subsystem string) *ConnMetrics {
 		"Protocol bytes by direction and message type.", "dir", "type")
 	m := &ConnMetrics{}
 	for t := MsgHello; t <= MsgBatchAck; t++ {
+		if !t.valid() {
+			continue
+		}
 		m.sendFrames[t] = frames.With("send", t.String())
 		m.recvFrames[t] = frames.With("recv", t.String())
 		m.sendBytes[t] = bytes.With("send", t.String())
@@ -428,7 +421,7 @@ func (c *Conn) Send(m *Message) error {
 	if err := c.bw.Flush(); err != nil {
 		return fmt.Errorf("protocol: send %v: %w", m.Type, err)
 	}
-	if c.met != nil && m.Type >= MsgHello && m.Type <= MsgBatchAck {
+	if c.met != nil && m.Type.valid() {
 		c.met.sendFrames[m.Type].Inc()
 		c.met.sendBytes[m.Type].Add(c.cw.n - before)
 	}
@@ -436,16 +429,16 @@ func (c *Conn) Send(m *Message) error {
 }
 
 // Recv decodes the next message and validates its envelope: a missing
-// type, an out-of-range type, an oversized KnownJobs/Holding advertisement
-// or an oversized batch are protocol errors, not panics or unbounded
-// allocations further up the stack.
+// type, an out-of-range or retired type, an oversized KnownJobs/Holding
+// advertisement or an oversized batch are protocol errors, not panics or
+// unbounded allocations further up the stack.
 func (c *Conn) Recv() (*Message, error) {
 	before := c.cr.n
 	var m Message
 	if err := c.dec.Decode(&m); err != nil {
 		return nil, err
 	}
-	if m.Type < MsgHello || m.Type > MsgBatchAck {
+	if !m.Type.valid() {
 		return nil, fmt.Errorf("protocol: message with invalid type %d", int(m.Type))
 	}
 	if c.met != nil {

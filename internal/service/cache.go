@@ -100,133 +100,131 @@ func PhysicsKeyOf(spec *mc.Spec, chunkPhotons int64, seed uint64, fan int) (Key,
 	return k, nil
 }
 
-// cache is a bounded FIFO-evicting map from job key to completed tally,
-// plus a physics-keyed side index serving meets-or-exceeds precision
-// lookups (one entry per physics key: the deepest — most photons — stored
-// run of that decomposition). It carries its own lock so the
-// gob-round-trip tally clones in get/put never stall the registry mutex
-// (and with it the whole fleet).
-type cache struct {
+// Cache is the content-addressed result cache, used by a shard's
+// Registry and by the gateway's shared tier alike. Every completed run is
+// one entry, indexed twice: exactly, under its full content key, and by
+// physics key, where a precision-targeted lookup accepts any stored run
+// of the same decomposition that meets-or-exceeds its target. Entries
+// leave in insertion (FIFO) order once the bound is reached.
+//
+// Entries are immutable: Put stores the caller's tally itself and lookups
+// hand out that pointer, so neither side may merge into it afterwards.
+// A nil *Cache is a valid, disabled cache.
+type Cache struct {
 	mu      sync.Mutex
 	max     int
-	entries map[Key]*mc.Tally
-	order   []Key
+	exact   map[Key]*cacheEntry
+	physics map[Key][]*cacheEntry // every stored run of one physics key
+	order   []Key                 // exact keys in insertion order
 	hits    int64
 	misses  int64
-
-	physics      map[Key]*mc.Tally
-	physicsOrder []Key
 }
 
-func newCache(max int) *cache {
-	if max < 0 {
+type cacheEntry struct {
+	key, pkey Key
+	tally     *mc.Tally
+}
+
+// NewCache returns a cache bounded to size entries: 0 means 256, and a
+// negative size disables caching (nil).
+func NewCache(size int) *Cache {
+	if size < 0 {
 		return nil
 	}
-	if max == 0 {
-		max = 256
+	if size == 0 {
+		size = 256
 	}
-	return &cache{
-		max:     max,
-		entries: make(map[Key]*mc.Tally),
-		physics: make(map[Key]*mc.Tally),
+	return &Cache{
+		max:     size,
+		exact:   make(map[Key]*cacheEntry),
+		physics: make(map[Key][]*cacheEntry),
 	}
 }
 
-// get returns a deep copy of the cached tally (callers may mutate results).
-func (c *cache) get(k Key) *mc.Tally {
-	return c.getCounted(k, true)
-}
-
-// getCounted is get with the miss counter optional: a lookup that falls
-// through to a second index (the physics lookup of precision submissions)
-// must record one miss for the whole submission, not one per index probed
-// — or the /stats hit rate operators size the cache by is skewed.
-func (c *cache) getCounted(k Key, recordMiss bool) *mc.Tally {
+// Lookup probes the exact index under key and, when that misses and tgt
+// is set, the physics index under pkey for a stored run satisfying tgt
+// (photon floor reached, RSE at or below the requested relative error).
+// A request is never penalised for a stored run having spent more photons
+// than its own cap: the extra precision is free. index names the index
+// that hit ("exact" or "physics"); one Lookup counts one hit or one miss.
+// The returned tally is shared and read-only.
+func (c *Cache) Lookup(key, pkey Key, tgt *mc.Target) (t *mc.Tally, index string) {
 	if c == nil {
-		return nil
+		return nil, ""
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t, ok := c.entries[k]
-	if !ok {
-		if recordMiss {
-			c.misses++
-		}
-		return nil
+	if e := c.exact[key]; e != nil {
+		c.hits++
+		return e.tally, "exact"
 	}
-	c.hits++
-	return cloneTally(t)
+	if tgt != nil {
+		for _, e := range c.physics[pkey] {
+			if tgt.MetBy(e.tally) {
+				c.hits++
+				return e.tally, "physics"
+			}
+		}
+	}
+	c.misses++
+	return nil, ""
 }
 
-// put stores a deep copy of a pre-cloned tally: the live tally is also
-// handed to Wait callers, who are free to Merge into it; the cache entry
-// must not alias it. Callers clone before put so the expensive gob round
-// trip can happen outside any lock they hold.
-func (c *cache) put(k Key, clone *mc.Tally) {
-	if c == nil || clone == nil {
+// Put stores a completed run's tally under its content and physics keys.
+// The cache keeps t itself, so the caller must not mutate it afterwards.
+// The deepest run wins an exact-key collision.
+func (c *Cache) Put(key, pkey Key, t *mc.Tally) {
+	if c == nil || t == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.entries[k]; !ok {
-		c.order = append(c.order, k)
-		if len(c.order) > c.max {
-			delete(c.entries, c.order[0])
-			c.order = c.order[1:]
+	e := &cacheEntry{key: key, pkey: pkey, tally: t}
+	if old := c.exact[key]; old != nil {
+		if old.tally.Launched >= t.Launched {
+			return
 		}
-	}
-	c.entries[k] = clone
-}
-
-// putPhysics indexes a pre-cloned moments-carrying tally under its physics
-// key, keeping the deepest run per key (a later shallower run must not
-// evict a stored result that satisfies stricter targets).
-func (c *cache) putPhysics(pk Key, clone *mc.Tally) {
-	if c == nil || clone == nil || clone.Moments == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.physics[pk]; ok {
-		if clone.Launched > cur.Launched {
-			c.physics[pk] = clone
+		c.exact[key] = e
+		for i, g := range c.physics[old.pkey] {
+			if g == old {
+				c.physics[old.pkey][i] = e
+				break
+			}
 		}
 		return
 	}
-	c.physicsOrder = append(c.physicsOrder, pk)
-	if len(c.physicsOrder) > c.max {
-		delete(c.physics, c.physicsOrder[0])
-		c.physicsOrder = c.physicsOrder[1:]
+	for len(c.order) >= c.max {
+		c.evictLocked()
 	}
-	c.physics[pk] = clone
+	c.exact[key] = e
+	c.physics[pkey] = append(c.physics[pkey], e)
+	c.order = append(c.order, key)
 }
 
-// getMeeting returns a deep copy of the physics-indexed tally for pk if it
-// satisfies tgt (photon floor reached, RSE at or below the requested
-// relative error) — the meets-or-exceeds cache hit of precision-targeted
-// submissions. A request is never penalised for a stored run having spent
-// *more* photons than its own cap: the extra precision is free.
-func (c *cache) getMeeting(pk Key, tgt *mc.Target) *mc.Tally {
-	if c == nil || tgt == nil {
-		return nil
+func (c *Cache) evictLocked() {
+	e := c.exact[c.order[0]]
+	c.order = c.order[1:]
+	delete(c.exact, e.key)
+	group := c.physics[e.pkey]
+	for i, g := range group {
+		if g == e {
+			group = append(group[:i], group[i+1:]...)
+			break
+		}
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t, ok := c.physics[pk]
-	if !ok || !tgt.MetBy(t) {
-		c.misses++
-		return nil
+	if len(group) == 0 {
+		delete(c.physics, e.pkey)
+	} else {
+		c.physics[e.pkey] = group
 	}
-	c.hits++
-	return cloneTally(t)
 }
 
-// stats snapshots the entry count and hit/miss counters.
-func (c *cache) stats() (entries int, hits, misses int64) {
+// Stats snapshots the entry count and the hit/miss counters.
+func (c *Cache) Stats() (entries int, hits, misses int64) {
 	if c == nil {
 		return 0, 0, 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries), c.hits, c.misses
+	return len(c.exact), c.hits, c.misses
 }

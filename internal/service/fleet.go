@@ -166,14 +166,6 @@ func (r *Registry) HandleConn(rw io.ReadWriteCloser) error {
 			if err := pc.Send(&protocol.Message{Type: protocol.MsgBatchAck, BatchAck: ack}); err != nil {
 				return err
 			}
-		case protocol.MsgTaskResult:
-			if msg.Result == nil || msg.Result.Tally == nil {
-				return fmt.Errorf("service: empty result from %q", sess.name)
-			}
-			ack := r.handleResult(sess, msg.Result)
-			if err := pc.Send(&protocol.Message{Type: protocol.MsgResultAck, Ack: ack}); err != nil {
-				return err
-			}
 		default:
 			return fmt.Errorf("service: unexpected message %v from %q", msg.Type, sess.name)
 		}
@@ -506,15 +498,6 @@ func (r *Registry) rejectGroup(sess *session, g *protocol.BatchGroup, reason str
 	r.log.Warn("rejected result group", "worker", sess.name,
 		"chunks", len(g.Chunks), "reason", reason)
 	return acks
-}
-
-// handleResult routes a single returned tally to its job — the
-// pre-batching result path, still spoken by tests and single-result
-// clients. It shares the reduction machinery (and its exactly-once
-// guarantees) with the batched path.
-func (r *Registry) handleResult(sess *session, res *protocol.TaskResult) *protocol.ResultAck {
-	acks := r.reduceGroup(sess, res.JobID, []int{res.ChunkID}, res.Tally, res.Elapsed, nil)
-	return &acks[0]
 }
 
 // spanSeed is the server-side half of one chunk's span, captured at claim
@@ -855,11 +838,11 @@ func (r *Registry) reduceGroup(sess *session, jobID uint64, chunks []int, tally 
 	if reduced {
 		// Journal off both locks. On finalize this runs before sealJob:
 		// waiters stay blocked on j.finished until the final snapshot is
-		// appended, so nothing can mutate the returned tally mid-encode.
+		// appended, so a result a client has seen is already in the journal.
 		r.journal.chunksReduced(r, j, chunks, finished != nil)
 	}
 	if finished != nil {
-		r.sealJob(finished) // cache clone + waiter release, off the hot lock
+		r.sealJob(finished) // cache + waiter release, off the hot lock
 	}
 	return acks
 }

@@ -11,7 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/detector"
 	"repro/internal/mc"
+	"repro/internal/source"
+	"repro/internal/tissue"
 )
 
 // postJob submits a job over the HTTP API and returns the response.
@@ -288,5 +291,47 @@ func TestHTTPPrecisionJob(t *testing.T) {
 		Target: &mc.Target{RelErr: 2},
 	}); code != http.StatusUnprocessableEntity {
 		t.Fatalf("bad target: http %d", code)
+	}
+}
+
+// TestHTTPSubmitAdultHead submits the paper's head model, whose white
+// matter is semi-infinite, over HTTP: the JSON body must encode, the
+// shard must accept it, and the keys derived from the decoded body must
+// equal the in-process spec's, so the job ID is the same either way.
+func TestHTTPSubmitAdultHead(t *testing.T) {
+	reg := New(Options{})
+	ts := httptest.NewServer(NewAPI(reg).Handler())
+	defer ts.Close()
+	spec := mc.NewSpec(tissue.AdultHead(),
+		source.Spec{Kind: source.KindPencil},
+		detector.Spec{Kind: detector.KindAnnulus, RMin: 25, RMax: 35})
+	req := JobRequest{Spec: spec, Photons: 2000, ChunkPhotons: 500, Seed: 3}
+
+	acc, code := postJob(t, ts, req)
+	if code != http.StatusCreated {
+		t.Fatalf("submit: http %d, want %d", code, http.StatusCreated)
+	}
+	want, wantP, err := RoutingKeys(&JobSpec{Spec: spec, TotalPhotons: 2000, ChunkPhotons: 500, Seed: 3}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc.ID != fmt.Sprintf("%016x", KeyID(want)) {
+		t.Fatalf("job id %s, want the in-process key's %016x", acc.ID, KeyID(want))
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back JobRequest
+	if err := json.Unmarshal(body, &back); err != nil {
+		t.Fatal(err)
+	}
+	got, gotP, err := RoutingKeys(&JobSpec{Spec: back.Spec, TotalPhotons: back.Photons,
+		ChunkPhotons: back.ChunkPhotons, Seed: back.Seed}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || gotP != wantP {
+		t.Fatal("routing keys of the decoded request differ from the in-process spec's")
 	}
 }

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"sort"
@@ -56,6 +54,9 @@ type WorkerInfo struct {
 
 // Result is the outcome of a completed job.
 type Result struct {
+	// Tally is read-only: the result cache and every later cache hit share
+	// it. A caller that wants to merge into it must copy it first
+	// (mc.DecodeTally(mc.AppendTally(nil, t)) is exact).
 	Tally *mc.Tally
 	// Elapsed is the wall-clock job duration, first assignment to last
 	// reduction (zero for cache hits).
@@ -521,11 +522,11 @@ type Snapshot struct {
 // The per-job reduction lock is taken first (the lock order reducers use),
 // so the snapshot never observes a chunk whose merge has landed in the
 // tally without its completion mark, or vice versa — either would
-// double-count or drop the chunk on resume. Only the gob *encode* of the
-// tally runs under the locks (it must see a merge-consistent view); the
-// decode half of the deep copy happens after release, so periodic
-// checkpointing of a large-tally job holds the fleet's dispatch lock for
-// roughly half the clone cost.
+// double-count or drop the chunk on resume. Only the compact *encode* of
+// the tally runs under the locks (it must see a merge-consistent view);
+// the decode half of the deep copy happens after release, so the
+// snapshot holds the fleet's dispatch lock for roughly half the copy
+// cost.
 func (j *Job) Snapshot() *Snapshot {
 	j.redMu.Lock()
 	j.reg.mu.Lock()
@@ -540,17 +541,13 @@ func (j *Job) Snapshot() *Snapshot {
 			snap.Completed = append(snap.Completed, id)
 		}
 	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(j.tally)
+	buf := mc.AppendTally(nil, j.tally)
 	j.reg.mu.Unlock()
 	j.redMu.Unlock()
+	tally, err := mc.DecodeTally(buf)
 	if err != nil {
-		panic(fmt.Sprintf("service: snapshot tally encode: %v", err))
-	}
-	var tally mc.Tally
-	if err := gob.NewDecoder(&buf).Decode(&tally); err != nil {
 		panic(fmt.Sprintf("service: snapshot tally decode: %v", err))
 	}
-	snap.Tally = &tally
+	snap.Tally = tally
 	return snap
 }

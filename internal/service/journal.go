@@ -21,14 +21,14 @@ import (
 // over a wal.Log that records every control-plane transition — job
 // accepted, chunk batches reduced, amortized tally snapshots, finalize,
 // cancel — so a restarted mcqueue replays its way back to the exact job
-// set a SIGKILL interrupted, rather than depending on the polite-death
-// SIGTERM checkpoint pass.
+// set a shutdown or a SIGKILL interrupted.
 //
 // The write policy is availability over durability-at-any-cost: an
-// append failure is logged and the registry keeps serving (the journal
-// degrades to the checkpoint behaviour it subsumes), and appends happen
-// off the registry and reduction locks, so the fleet's hot path never
-// waits on storage. What replay restores is therefore bounded by the
+// append failure is logged and the registry keeps serving (the next
+// compaction — at the latest mcqueue's SIGTERM pass — rewrites every
+// retained job from live state, making the log whole again), and appends
+// happen off the registry and reduction locks, so the fleet's hot path
+// never waits on storage. What replay restores is therefore bounded by the
 // fsync policy — and by the snapshot cadence, since chunk tallies are
 // pure functions of (seed, stream, fan): anything past the last snapshot
 // is recomputed, not lost, and the resumed tally is identical to an
@@ -460,9 +460,9 @@ func acceptedSpec(j *Job) JobSpec {
 	return spec
 }
 
-// resumed journals a job restored from a legacy checkpoint (or replay
-// itself) so the journal is self-contained going forward. The accept
-// record must precede the snapshot: snapshots carry no spec.
+// resumed journals a job restored from a snapshot (by replay or
+// SubmitSnapshot) so the journal is self-contained going forward. The
+// accept record must precede the snapshot: snapshots carry no spec.
 func (jl *Journal) resumed(j *Job, complete bool) {
 	if jl == nil {
 		return

@@ -87,8 +87,7 @@ func workChunks(rw net.Conn, n int) error {
 			if err != nil {
 				return err
 			}
-			if err := pc.Send(&protocol.Message{Type: protocol.MsgTaskResult,
-				Result: &protocol.TaskResult{JobID: a.JobID, ChunkID: a.ChunkID, Tally: tally}}); err != nil {
+			if err := pc.Send(oneChunkBatch(a.JobID, a.ChunkID, tally)); err != nil {
 				return err
 			}
 			if _, err := pc.Recv(); err != nil {

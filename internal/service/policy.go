@@ -73,42 +73,23 @@ func (priorityPolicy) Pick(cands []Candidate) int {
 	return best
 }
 
-// fairPolicy interleaves jobs in proportion to their weights using
-// start-time fair queueing (sched.FairShare) with work = assigned photons.
-type fairPolicy struct {
-	fs *sched.FairShare[uint64]
-}
-
-// FairShare returns the weighted fair-share policy: concurrent jobs
-// receive fleet throughput proportional to JobSpec.Weight, and a job
-// submitted mid-run competes from the current service frontier instead of
-// starving the incumbents.
-func FairShare() Policy { return &fairPolicy{fs: sched.NewFairShare[uint64]()} }
-
-func (p *fairPolicy) Name() string { return "fair-share" }
-
-func (p *fairPolicy) Pick(cands []Candidate) int {
-	ids := make([]uint64, len(cands))
-	for i, c := range cands {
-		p.fs.Observe(c.ID, c.Weight)
-		ids[i] = c.ID
-	}
-	return p.fs.Pick(ids)
-}
-
-func (p *fairPolicy) Charge(c Candidate, workPhotons int64) {
-	p.fs.Observe(c.ID, c.Weight)
-	p.fs.Charge(c.ID, float64(workPhotons))
-}
-
-func (p *fairPolicy) Forget(id uint64) { p.fs.Forget(id) }
-
 // tenantFairPolicy serves tenants by weighted start-time fair queueing and
 // jobs within the picked tenant the same way — sched.TwoLevel with outer
 // weights from the tenant table and inner weights from JobSpec.Weight.
+// With oneTenant set every candidate is placed in a single tenant, which
+// leaves only the inner, job-level competition: single-level fair share.
 type tenantFairPolicy struct {
-	tl *sched.TwoLevel
-	tj []sched.TenantJob // Pick scratch, reused under the registry lock
+	tl        *sched.TwoLevel
+	tj        []sched.TenantJob // Pick scratch, reused under the registry lock
+	oneTenant bool
+}
+
+// FairShare returns the weighted fair-share policy: concurrent jobs
+// receive fleet throughput proportional to JobSpec.Weight, whatever their
+// tenant, and a job submitted mid-run competes from the current service
+// frontier instead of starving the incumbents.
+func FairShare() Policy {
+	return &tenantFairPolicy{tl: sched.NewTwoLevel(), oneTenant: true}
 }
 
 // TenantFairShare returns the two-level tenant→job fair-share policy: each
@@ -117,13 +98,22 @@ type tenantFairPolicy struct {
 // its own jobs by job weight.
 func TenantFairShare() Policy { return &tenantFairPolicy{tl: sched.NewTwoLevel()} }
 
-func (p *tenantFairPolicy) Name() string { return "tenant-fair" }
+func (p *tenantFairPolicy) Name() string {
+	if p.oneTenant {
+		return "fair-share"
+	}
+	return "tenant-fair"
+}
 
 func (p *tenantFairPolicy) Pick(cands []Candidate) int {
 	tj := p.tj[:0]
 	for _, c := range cands {
+		tenant, tweight := c.Tenant, c.TenantWeight
+		if p.oneTenant {
+			tenant, tweight = "", 1
+		}
 		tj = append(tj, sched.TenantJob{
-			Tenant: c.Tenant, TenantWeight: c.TenantWeight,
+			Tenant: tenant, TenantWeight: tweight,
 			Job: c.ID, JobWeight: c.Weight,
 		})
 	}

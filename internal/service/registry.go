@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/mc"
 	"repro/internal/obs"
 )
 
@@ -26,7 +27,7 @@ type Registry struct {
 	order     []*Job       // submission order (List is deterministic)
 	active    []*Job       // queued/running jobs only — the dispatcher's hot loop
 	byKey     map[Key]*Job // active jobs, for coalescing identical submissions
-	cache     *cache
+	cache     *Cache
 	seq       uint64
 	sessions  map[uint64]*session
 	nextSess  uint64
@@ -73,7 +74,7 @@ func New(opts Options) *Registry {
 		log:       opts.Logger,
 		jobs:      make(map[uint64]*Job),
 		byKey:     make(map[Key]*Job),
-		cache:     newCache(opts.CacheSize),
+		cache:     NewCache(opts.CacheSize),
 		sessions:  make(map[uint64]*session),
 		seenNames: make(map[string]bool),
 		tenants:   make(map[string]*tenantStats),
@@ -110,8 +111,8 @@ type SubmitOutcome struct {
 // meets-or-exceeds the requested precision serves it instantly.
 //
 // Heavy construction — Spec.Build (which may materialise a multi-megabyte
-// voxel geometry), tally allocation, cache-tally cloning — happens outside
-// the registry mutex so a large submission never stalls fleet dispatch.
+// voxel geometry) and tally allocation — happens outside the registry
+// mutex so a large submission never stalls fleet dispatch.
 func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 	if err := spec.normalize(r.opts.MaxTargetPhotons); err != nil {
 		return nil, invalid(err)
@@ -135,18 +136,8 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 	}
 	r.mu.Unlock()
 
-	// A precision submission probes two indexes but is one lookup: only
-	// the trailing physics probe records the miss.
 	r.met.cacheLookups.Inc()
-	tally := r.cache.getCounted(key, spec.Target == nil)
-	hitIndex := "exact"
-	if tally == nil && spec.Target != nil {
-		// Meets-or-exceeds: a deeper or equal stored run of the same
-		// physics satisfies any looser request for it.
-		tally = r.cache.getMeeting(pkey, spec.Target)
-		hitIndex = "physics"
-	}
-	if tally != nil {
+	if tally, hitIndex := r.cache.Lookup(key, pkey, spec.Target); tally != nil {
 		r.mu.Lock()
 		if err := r.admitRideLocked(&spec); err != nil {
 			r.mu.Unlock()
@@ -408,7 +399,12 @@ func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 			j.nCompleted++
 		}
 	}
-	j.tally = cloneTally(snap.Tally)
+	// The snapshot stays the caller's: copy its tally through the exact
+	// compact codec before this job merges into it.
+	j.tally, err = mc.DecodeTally(mc.AppendTally(nil, snap.Tally))
+	if err != nil {
+		return nil, fmt.Errorf("service: snapshot tally: %w", err)
+	}
 	j.publishEstimate(j.tally)
 	pending := j.pending[:0]
 	for _, id := range j.pending {
@@ -430,8 +426,7 @@ func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 		j.state = StateDone
 		j.finishedAt = time.Now()
 		close(j.finished)
-		r.cache.put(key, cloneTally(j.tally))
-		r.cache.putPhysics(pkey, cloneTally(j.tally))
+		r.cache.Put(key, pkey, j.tally)
 	}
 
 	r.mu.Lock()
@@ -458,7 +453,7 @@ func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 	}
 	r.mu.Unlock()
 	// Re-journal the restored job so the log is self-contained from here
-	// on, whether it came from a legacy checkpoint or from replay itself.
+	// on.
 	r.journal.resumed(j, complete)
 	return j, nil
 }
@@ -573,9 +568,7 @@ func (r *Registry) Cancel(id uint64) error {
 
 // finishJobLocked marks a job whose last chunk just reduced as done. The
 // caller must call sealJob after releasing the registry lock: waiters stay
-// blocked on j.finished until then, which keeps the expensive cache clone
-// off the fleet's hot lock while still guaranteeing the cache entry is
-// taken before any Wait caller can mutate the returned tally.
+// blocked on j.finished until the result is cached and journaled.
 func (r *Registry) finishJobLocked(j *Job) {
 	j.state = StateDone
 	j.finishedAt = time.Now()
@@ -597,13 +590,11 @@ func (r *Registry) removeActiveLocked(j *Job) {
 	}
 }
 
-// sealJob caches a finished job's tally — under both its exact content key
-// and, when the tally carries moments, the physics index that serves
-// meets-or-exceeds precision lookups — and releases its waiters.
+// sealJob caches a finished job's tally — no merge can reach it once the
+// job is Done, so the cache shares it with the job's waiters — and
+// releases them.
 func (r *Registry) sealJob(j *Job) {
-	clone := cloneTally(j.tally)
-	r.cache.put(j.key, clone)
-	r.cache.putPhysics(j.pkey, clone)
+	r.cache.Put(j.key, j.pkey, j.tally)
 	close(j.finished)
 	r.log.Info("job done", "job", jobHex(j.id), "chunks", j.nChunks,
 		"reassigned", j.reassigned, "duplicates", j.duplicates, "rejected", j.rejected)
@@ -675,7 +666,7 @@ func (r *Registry) Stats() Stats {
 		Policy:           r.policy.Name(),
 		Admission:        r.admission.Name(),
 	}
-	s.CacheEntries, s.CacheHits, s.CacheMisses = r.cache.stats()
+	s.CacheEntries, s.CacheHits, s.CacheMisses = r.cache.Stats()
 	if len(r.tenants) > 0 {
 		s.Tenants = make(map[string]TenantStat, len(r.tenants))
 		for name, ts := range r.tenants {

@@ -13,8 +13,9 @@
 // dispatch lock through a per-job reducer, so fleet throughput tracks
 // kernel throughput rather than per-chunk wire bookkeeping.
 //
-// Completed tallies land in a content-addressed result cache keyed by the
-// canonical gob encoding of (Spec, TotalPhotons, ChunkPhotons, Seed) —
+// Completed tallies land in a content-addressed result cache (Cache, the
+// same type the gateway's shared tier uses) keyed by the canonical
+// encoding of (Spec, TotalPhotons, ChunkPhotons, Seed) —
 // plus the Fan width when one is set, since a fanned chunk decomposes into
 // different sub-streams — the exact tuple that determines a reproducible
 // result. A duplicate submission returns instantly without assigning a
@@ -50,8 +51,6 @@
 package service
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"log/slog"
 	"time"
@@ -255,18 +254,4 @@ func (s *JobSpec) numChunks() int {
 		return 0
 	}
 	return int((s.TotalPhotons + s.ChunkPhotons - 1) / s.ChunkPhotons)
-}
-
-// cloneTally deep-copies a tally via a gob round trip (tallies are plain
-// data, so this is exact).
-func cloneTally(t *mc.Tally) *mc.Tally {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(t); err != nil {
-		panic(fmt.Sprintf("service: clone tally encode: %v", err))
-	}
-	var out mc.Tally
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		panic(fmt.Sprintf("service: clone tally decode: %v", err))
-	}
-	return &out
 }

@@ -77,8 +77,9 @@ func startWorkers(t *testing.T, reg *Registry, n int) {
 	}
 }
 
-// workClient is a minimal v2 worker loop (mirrors distsys.Work, which
-// lives above this package in the import graph).
+// workClient is a minimal worker loop (mirrors distsys.Work, which lives
+// above this package in the import graph) that flushes every chunk as its
+// own one-chunk result batch.
 func workClient(rw net.Conn, name string) (int, error) {
 	pc := protocol.NewConn(rw)
 	defer pc.Close()
@@ -124,8 +125,7 @@ func workClient(rw net.Conn, name string) (int, error) {
 			if err != nil {
 				return chunks, err
 			}
-			if err := pc.Send(&protocol.Message{Type: protocol.MsgTaskResult,
-				Result: &protocol.TaskResult{JobID: a.JobID, ChunkID: a.ChunkID, Tally: tally}}); err != nil {
+			if err := pc.Send(oneChunkBatch(a.JobID, a.ChunkID, tally)); err != nil {
 				return chunks, err
 			}
 			if _, err := pc.Recv(); err != nil {
@@ -141,6 +141,18 @@ func workClient(rw net.Conn, name string) (int, error) {
 			return chunks, errors.New("unexpected message")
 		}
 	}
+}
+
+// oneChunkBatch wraps one chunk's tally in a standalone result batch.
+func oneChunkBatch(jobID uint64, chunk int, t *mc.Tally) *protocol.Message {
+	return &protocol.Message{Type: protocol.MsgResultBatch, Batch: &protocol.ResultBatch{
+		Groups: []protocol.BatchGroup{{JobID: jobID, Chunks: []int{chunk}, TallyData: mc.AppendTally(nil, t)}}}}
+}
+
+// reduceOne reduces one chunk's tally as a one-chunk batch group and
+// returns its ack.
+func reduceOne(reg *Registry, sess *session, jobID uint64, chunk int, t *mc.Tally) protocol.ResultAck {
+	return reg.reduceBatch(sess, oneChunkBatch(jobID, chunk, t).Batch, &mc.Tally{})[0]
 }
 
 // batchClient is a minimal protocol v3 worker that mirrors distsys.Work's
@@ -630,9 +642,7 @@ func TestAbandonedAssignmentRequeued(t *testing.T) {
 
 	// An unmergeable tally must also requeue the chunk (and count as a
 	// rejection), so a malformed result cannot wedge the job.
-	ack := reg.handleResult(sess, &protocol.TaskResult{
-		JobID: j.ID(), ChunkID: second.ChunkID, Tally: &mc.Tally{},
-	})
+	ack := reduceOne(reg, sess, j.ID(), second.ChunkID, &mc.Tally{})
 	if !ack.Rejected {
 		t.Fatal("unmergeable tally not rejected")
 	}
@@ -665,12 +675,12 @@ func TestLateResultAfterReclaimDoesNotRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunkTally := func(a *protocol.TaskAssign) *protocol.TaskResult {
+	chunkTally := func(a *protocol.TaskAssign) *mc.Tally {
 		tt, err := mc.RunStream(cfg, a.Photons, 14, a.Stream, j.NumChunks())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &protocol.TaskResult{JobID: a.JobID, ChunkID: a.ChunkID, Tally: tt}
+		return tt
 	}
 	newSess := func(id uint64) *session {
 		s := &session{id: id, name: fmt.Sprintf("s%d", id), knownJobs: map[uint64]bool{}}
@@ -691,7 +701,7 @@ func TestLateResultAfterReclaimDoesNotRecompute(t *testing.T) {
 
 	// The original workers deliver late; both must still be reduced (they
 	// computed the right streams) and must clean up the requeued copies.
-	if ack := reg.handleResult(s1, chunkTally(a1)); ack.Rejected || ack.Duplicate {
+	if ack := reduceOne(reg, s1, a1.JobID, a1.ChunkID, chunkTally(a1)); ack.Rejected || ack.Duplicate {
 		t.Fatalf("late result 1 not reduced: %+v", ack)
 	}
 	reg.mu.Lock()
@@ -701,10 +711,10 @@ func TestLateResultAfterReclaimDoesNotRecompute(t *testing.T) {
 		}
 	}
 	reg.mu.Unlock()
-	if ack := reg.handleResult(s2, chunkTally(a2)); ack.Rejected || ack.Duplicate {
+	if ack := reduceOne(reg, s2, a2.JobID, a2.ChunkID, chunkTally(a2)); ack.Rejected || ack.Duplicate {
 		t.Fatalf("late result 2 not reduced: %+v", ack)
 	}
-	if ack := reg.handleResult(s3, chunkTally(a3)); !ack.Duplicate {
+	if ack := reduceOne(reg, s3, a3.JobID, a3.ChunkID, chunkTally(a3)); !ack.Duplicate {
 		t.Fatalf("redundant reassigned result not a duplicate: %+v", ack)
 	}
 
@@ -776,8 +786,7 @@ func TestPartiallyStaleBatchRequeued(t *testing.T) {
 		// test only needs *some* overlap, so track which one s2 got.
 		t.Logf("s2 recomputes chunk %d", a3.ChunkID)
 	}
-	if ack := reg.handleResult(s2, &protocol.TaskResult{
-		JobID: a3.JobID, ChunkID: a3.ChunkID, Tally: chunkTally(a3)}); ack.Rejected || ack.Duplicate {
+	if ack := reduceOne(reg, s2, a3.JobID, a3.ChunkID, chunkTally(a3)); ack.Rejected || ack.Duplicate {
 		t.Fatalf("s2 recompute not reduced: %+v", ack)
 	}
 
@@ -831,8 +840,7 @@ func TestPartiallyStaleBatchRequeued(t *testing.T) {
 			break
 		}
 		a := m.Assign
-		if ack := reg.handleResult(s2, &protocol.TaskResult{
-			JobID: a.JobID, ChunkID: a.ChunkID, Tally: chunkTally(a)}); ack.Rejected {
+		if ack := reduceOne(reg, s2, a.JobID, a.ChunkID, chunkTally(a)); ack.Rejected {
 			t.Fatalf("honest recompute rejected: %+v", ack)
 		}
 	}
@@ -987,8 +995,10 @@ func TestV2WorkerRejectedGracefully(t *testing.T) {
 	}
 }
 
-// TestCachePutIsolatedFromCallerMutation guards the cache against callers
-// merging into the Result.Tally they were handed back.
+// TestCachePutIsolatedFromCallerMutation pins the read-only result
+// contract: sealing caches the job's own tally (no copy), so a caller that
+// wants to merge into a result copies it first, and the cache — and every
+// later hit — still serves the original.
 func TestCachePutIsolatedFromCallerMutation(t *testing.T) {
 	reg := New(Options{DrainOnEmpty: true})
 	out, err := reg.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 200, ChunkPhotons: 100, Seed: 12})
@@ -1005,9 +1015,13 @@ func TestCachePutIsolatedFromCallerMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	launched := res.Tally.Launched
-	// Caller mutates its copy (self-merge is rejected by mc.Tally, so fold
-	// in a clone to double every accumulator).
-	if err := res.Tally.Merge(cloneTally(res.Tally)); err != nil {
+	// Caller mutates its own copy (self-merge is rejected by mc.Tally, so
+	// fold in a second copy to double every accumulator).
+	mine, err := mc.DecodeTally(mc.AppendTally(nil, res.Tally))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mine.Merge(res.Tally); err != nil {
 		t.Fatal(err)
 	}
 	dup, err := reg.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 200, ChunkPhotons: 100, Seed: 12})
@@ -1021,30 +1035,89 @@ func TestCachePutIsolatedFromCallerMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if cached.Tally != res.Tally {
+		t.Fatal("cache hit does not share the sealed tally")
+	}
 	if cached.Tally.Launched != launched {
-		t.Fatalf("cache aliased the caller's tally: launched %d, want %d",
+		t.Fatalf("cache aliased the caller's copy: launched %d, want %d",
 			cached.Tally.Launched, launched)
 	}
 }
 
-// TestResultCacheEviction checks the FIFO bound holds.
+// TestResultCacheEviction checks the FIFO bound holds and that entries are
+// stored and served as-is.
 func TestResultCacheEviction(t *testing.T) {
-	c := newCache(2)
+	c := NewCache(2)
 	t1, t2, t3 := &mc.Tally{Launched: 1}, &mc.Tally{Launched: 2}, &mc.Tally{Launched: 3}
 	k1, _ := KeyOf(slabSpec(5), 100, 100, 1)
 	k2, _ := KeyOf(slabSpec(5), 100, 100, 2)
 	k3, _ := KeyOf(slabSpec(5), 100, 100, 3)
-	c.put(k1, t1)
-	c.put(k2, t2)
-	c.put(k3, t3)
-	if c.get(k1) != nil {
+	c.Put(k1, k1, t1)
+	c.Put(k2, k2, t2)
+	c.Put(k3, k3, t3)
+	if got, _ := c.Lookup(k1, k1, nil); got != nil {
 		t.Fatal("oldest entry not evicted")
 	}
-	if got := c.get(k3); got == nil || got.Launched != 3 {
+	if got, _ := c.Lookup(k3, k3, nil); got == nil || got.Launched != 3 {
 		t.Fatal("newest entry lost")
 	}
-	if got := c.get(k2); got == t2 {
-		t.Fatal("cache returned its internal tally instead of a copy")
+	if got, index := c.Lookup(k2, k2, nil); got != t2 || index != "exact" {
+		t.Fatalf("cache served %p via %q, want the stored tally %p via exact", got, index, t2)
+	}
+	if n, hits, misses := c.Stats(); n != 2 || hits != 2 || misses != 1 {
+		t.Fatalf("stats entries=%d hits=%d misses=%d, want 2/2/1", n, hits, misses)
+	}
+	if NewCache(-1) != nil {
+		t.Fatal("negative size did not disable the cache")
+	}
+}
+
+// TestResultCacheDeepestRunWins covers both indexes of one physics key: an
+// exact-key collision keeps the deeper run, and a physics probe is served
+// by any stored run meeting its target, so a later shallower run of other
+// photons never shadows a stricter one.
+func TestResultCacheDeepestRunWins(t *testing.T) {
+	cfg, err := targetSpec(5).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(chunks int) *mc.Tally {
+		total := mc.NewTally(cfg)
+		for i := 0; i < chunks; i++ {
+			part, err := mc.RunStream(cfg, 200, 3, i, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := total.Merge(part); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return total
+	}
+	deep, shallow := run(32), run(4)
+	pk, _ := PhysicsKeyOf(targetSpec(5), 200, 3, 0)
+	kDeep, _ := KeyOf(targetSpec(5), 6400, 200, 3)
+	kShallow, _ := KeyOf(targetSpec(5), 800, 200, 3)
+
+	c := NewCache(8)
+	c.Put(kDeep, pk, shallow)
+	c.Put(kDeep, pk, deep)
+	c.Put(kDeep, pk, shallow)
+	if got, _ := c.Lookup(kDeep, pk, nil); got != deep {
+		t.Fatal("exact-key collision did not keep the deepest run")
+	}
+	c.Put(kShallow, pk, shallow)
+	strict := &mc.Target{Observable: mc.ObsDiffuse, RelErr: deep.RelStdErr(mc.ObsDiffuse)}
+	if strict.RelErr >= shallow.RelStdErr(mc.ObsDiffuse) {
+		t.Fatalf("fixture: deep RSE %g not below shallow %g", strict.RelErr, shallow.RelStdErr(mc.ObsDiffuse))
+	}
+	var miss Key
+	if got, index := c.Lookup(miss, pk, strict); got != deep || index != "physics" {
+		t.Fatalf("strict target served %v via %q, want the deep run via physics", got, index)
+	}
+	tooStrict := &mc.Target{Observable: mc.ObsDiffuse, RelErr: strict.RelErr / 2}
+	if got, _ := c.Lookup(miss, pk, tooStrict); got != nil {
+		t.Fatal("a target no stored run meets was served")
 	}
 }
 

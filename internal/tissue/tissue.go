@@ -4,6 +4,7 @@
 package tissue
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -16,6 +17,49 @@ type Layer struct {
 	Name      string
 	Props     optics.Properties
 	Thickness float64
+}
+
+// infThickness is the JSON spelling of a semi-infinite layer's thickness:
+// JSON numbers cannot carry +Inf.
+const infThickness = "inf"
+
+// MarshalJSON encodes the layer with its thickness as a number, or as the
+// string "inf" for a semi-infinite layer.
+func (l Layer) MarshalJSON() ([]byte, error) {
+	type plain Layer
+	if !math.IsInf(l.Thickness, 1) {
+		return json.Marshal(plain(l))
+	}
+	return json.Marshal(struct {
+		Name      string
+		Props     optics.Properties
+		Thickness string
+	}{l.Name, l.Props, infThickness})
+}
+
+// UnmarshalJSON accepts what MarshalJSON writes: a numeric thickness, or
+// the string "inf" for a semi-infinite layer.
+func (l *Layer) UnmarshalJSON(data []byte) error {
+	var raw struct {
+		Name      string
+		Props     optics.Properties
+		Thickness json.RawMessage
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		return err
+	}
+	l.Name, l.Props, l.Thickness = raw.Name, raw.Props, 0
+	switch {
+	case len(raw.Thickness) == 0 || string(raw.Thickness) == "null":
+	case string(raw.Thickness) == `"`+infThickness+`"`:
+		l.Thickness = math.Inf(1)
+	default:
+		if err := json.Unmarshal(raw.Thickness, &l.Thickness); err != nil {
+			return fmt.Errorf("tissue: layer %q thickness: want a number or %q: %w",
+				raw.Name, infThickness, err)
+		}
+	}
+	return nil
 }
 
 // Model is a stack of layers. Layer 0 starts at z = 0 and the stack extends

@@ -1,7 +1,10 @@
 package tissue
 
 import (
+	"encoding/json"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/optics"
@@ -157,5 +160,32 @@ func TestHomogeneousWhiteMatter(t *testing.T) {
 	}
 	if got := m.Layers[0].Props.MuSPrime(); math.Abs(got-9.1) > 1e-9 {
 		t.Fatalf("white matter µs′ = %g", got)
+	}
+}
+
+// TestLayerJSONSemiInfinite round-trips the head model through JSON: the
+// semi-infinite white matter travels as "inf" and comes back as +Inf, and
+// finite layers keep plain numbers.
+func TestLayerJSONSemiInfinite(t *testing.T) {
+	m := AdultHead()
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatalf("marshal adult head: %v", err)
+	}
+	if !strings.Contains(string(data), `"Thickness":"inf"`) || !strings.Contains(string(data), `"Thickness":3}`) {
+		t.Fatalf("unexpected thickness spelling: %s", data)
+	}
+	var back Model
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&back, m) {
+		t.Fatalf("round trip changed the model:\n got %+v\nwant %+v", back, *m)
+	}
+	for _, bad := range []string{`{"Thickness":"deep"}`, `{"Thickness":"-inf"}`, `{"Thickness":true}`} {
+		var l Layer
+		if err := json.Unmarshal([]byte(bad), &l); err == nil {
+			t.Errorf("thickness %s accepted as %g", bad, l.Thickness)
+		}
 	}
 }

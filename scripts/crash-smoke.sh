@@ -61,7 +61,7 @@ start_queue() { # logfile [extra env...]
   env "$@" "$WORK/mcqueue" -addr "$FLEET" -http "$HTTP" \
     -wal-dir "$WORK/wal" -wal-fsync interval \
     -wal-segment-bytes 4096 -wal-snapshot-every 2 \
-    -checkpoint-dir "$WORK/ckpt" -log-format json >"$log" 2>&1 &
+    -log-format json >"$log" 2>&1 &
   QPID=$!
 }
 

@@ -3,7 +3,7 @@
 #
 # Boots a real mcqueue and one mcworker, submits a job over the HTTP API
 # with curl, and asserts the debug surface works from the outside:
-# /readyz gates on the fleet listener and checkpoint resume, /metrics
+# /readyz gates on the fleet listener and journal replay, /metrics
 # exposes the expected service- and worker-plane series with the right
 # values for this known job (plus build identity), GET /jobs/{id}/events
 # tells the lifecycle story (and filters by kind), GET /jobs/{id}/spans
@@ -13,8 +13,8 @@
 # a bucket-derived Retry-After (reason- and tenant-labeled on /metrics,
 # bucket levels on GET /tenants) while another tenant's job completes, and
 # SIGTERM shuts mcqueue down cleanly — with an unfinished job still
-# queued, so the final checkpoint pass must actually run before the
-# process exits (a drain that returns early loses it).
+# queued, so the final journal compaction must actually run before the
+# process exits — and a restart on the same journal brings that job back.
 #
 # Stdlib + curl only; run from anywhere inside the repo.
 set -euo pipefail
@@ -74,7 +74,7 @@ EOF
 
 "$WORK/mcqueue" -addr "$FLEET" -http "$HTTP" -log-format json \
   -tenants "$WORK/tenants.json" \
-  -checkpoint-dir "$WORK/ckpt" >"$WORK/mcqueue.log" 2>&1 &
+  -wal-dir "$WORK/wal" >"$WORK/mcqueue.log" 2>&1 &
 QPID=$!
 wait_http "http://$HTTP/readyz"
 
@@ -216,14 +216,14 @@ TOP=$("$WORK/mctop" -addr "http://$HTTP" -once)
 echo "$TOP" | grep -q "TENANT" || fail "mctop renders no tenant table: $TOP"
 echo "$TOP" | grep -q "flood" || fail "mctop tenant table misses flood: $TOP"
 
-echo "obs-smoke: graceful shutdown checkpoints the active job..."
+echo "obs-smoke: graceful shutdown keeps the active job..."
 # Stop the worker, then queue a job nothing can advance: it must still be
 # active when SIGTERM lands, so a clean exit proves the drain waited for
-# the final checkpoint pass instead of racing past it.
+# the final journal compaction instead of racing past it.
 kill "$WPID" 2>/dev/null || true
 wait "$WPID" 2>/dev/null || true
 WPID=
-go run ./scripts/genjob -photons 1000000 -seed 8 -label smoke-ckpt >"$WORK/bigjob.json"
+go run ./scripts/genjob -photons 1000000 -seed 8 -label smoke-restart >"$WORK/bigjob.json"
 ID2=$(curl -fsS -X POST "http://$HTTP/jobs" -d @"$WORK/bigjob.json" |
   sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p')
 [ -n "$ID2" ] || fail "second POST /jobs returned no job id"
@@ -237,7 +237,19 @@ done
 [ "$ok" = 1 ] || fail "mcqueue did not exit on SIGTERM"
 wait "$QPID" || fail "mcqueue exited non-zero on SIGTERM"
 QPID=
-[ -f "$WORK/ckpt/$ID2.ckpt" ] ||
-  fail "SIGTERM with an active job left no checkpoint in $WORK/ckpt"
+
+# Restart on the same journal: the queued job is replayed under its ID.
+"$WORK/mcqueue" -addr "$FLEET" -http "$HTTP" -log-format json \
+  -wal-dir "$WORK/wal" >"$WORK/mcqueue-restart.log" 2>&1 &
+QPID=$!
+wait_http "http://$HTTP/readyz"
+curl -fsS "http://$HTTP/jobs/$ID2" >/dev/null ||
+  fail "restarted mcqueue does not know job $ID2 from the journal"
+REPLAYED=$(curl -fsS "http://$HTTP/metrics" | sed -n 's/^service_jobs_replayed_total \([0-9]*\)$/\1/p')
+[ -n "$REPLAYED" ] && [ "$REPLAYED" -ge 1 ] ||
+  fail "restart replayed '${REPLAYED:-<absent>}' jobs, want >= 1"
+kill -TERM "$QPID"
+wait "$QPID" || fail "restarted mcqueue exited non-zero on SIGTERM"
+QPID=
 
 echo "obs-smoke: PASS"
