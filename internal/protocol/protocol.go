@@ -295,7 +295,10 @@ type ResultAck struct {
 type NoWork struct {
 	// Done means the job is complete and the worker should disconnect.
 	Done bool
-	// RetryIn suggests when to ask again if the job is still running.
+	// RetryIn suggests when to ask again if the job is still running. The
+	// service parks an idle request until work may have appeared, so it
+	// answers 0 — ask again now — after a park, and to a worker still
+	// holding results, which must flush them first.
 	RetryIn time.Duration
 }
 

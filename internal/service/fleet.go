@@ -58,13 +58,21 @@ type chunkRef struct {
 	chunk int
 }
 
-// Idle-worker retry hints: busyRetry while any chunk is outstanding or
-// merging (its reduction may free this worker immediately), idleRetry when
-// the service is truly empty.
-const (
-	busyRetry = 5 * time.Millisecond
-	idleRetry = 50 * time.Millisecond
-)
+// idleRetry bounds how long an idle request stays parked before the
+// registry answers it NoWork and the worker asks again. The bound is
+// clamped to a quarter of the shortest live ChunkTimeout, because timeout
+// reclaim runs on the dispatch path: parked workers must keep re-asking at
+// that cadence, or an overdue chunk would sit unreclaimed.
+const idleRetry = 50 * time.Millisecond
+
+// parking is an idle request's licence to wait for work instead of taking
+// an immediate NoWork: wake is the registry's wake channel, captured in the
+// same critical section that found nothing to grant, and bound caps the
+// wait. A zero parking (nil wake) means answer at once.
+type parking struct {
+	wake  <-chan struct{}
+	bound time.Duration
+}
 
 // assignment pins a handed-out chunk to the session it went to.
 type assignment struct {
@@ -150,7 +158,15 @@ func (r *Registry) HandleConn(rw io.ReadWriteCloser) error {
 			if msg.Request != nil && msg.Request.Batch != nil {
 				acks = &protocol.BatchAck{Acks: r.reduceBatch(sess, msg.Request.Batch, &scratch)}
 			}
-			reply := r.nextAssignment(sess, msg.Request)
+			reply, p := r.assignOrPark(sess, msg.Request, true)
+			if p.wake != nil {
+				// Long-poll: hold the request until work may have appeared,
+				// the registry drains or the bound expires, then answer
+				// from one more pass — NoWork{RetryIn: 0} if it still finds
+				// nothing, so the worker re-asks at once.
+				r.park(p)
+				reply = r.nextAssignment(sess, msg.Request)
+			}
 			reply.BatchAck = acks
 			if err := pc.Send(reply); err != nil {
 				return err
@@ -235,10 +251,44 @@ func (r *Registry) releaseAssignmentLocked(sess *session, ref chunkRef, a *assig
 	}
 }
 
-// nextAssignment picks the next chunk for an idle worker: sync the
-// worker's advertised state, reclaim overdue chunks everywhere, gather the
-// schedulable jobs, and let the cross-job policy choose.
+// park blocks an idle session until the wake channel closes (work may have
+// appeared, or the registry drained) or the bound expires, and counts which.
+func (r *Registry) park(p parking) {
+	t := time.NewTimer(p.bound)
+	defer t.Stop()
+	select {
+	case <-p.wake:
+		r.met.parksWoken.Inc()
+	case <-t.C:
+		r.met.parksExpired.Inc()
+	}
+}
+
+// wakeLocked releases every parked session: work may have appeared, or the
+// registry drained. It is a no-op while nobody is parked; the next park
+// makes a fresh channel.
+func (r *Registry) wakeLocked() {
+	if r.wake != nil {
+		close(r.wake)
+		r.wake = nil
+	}
+}
+
+// nextAssignment answers a request at once: a grant, or NoWork (Done for a
+// drained registry, else RetryIn 0 — ask again now).
 func (r *Registry) nextAssignment(sess *session, req *protocol.TaskRequest) *protocol.Message {
+	msg, _ := r.assignOrPark(sess, req, false)
+	return msg
+}
+
+// assignOrPark picks the next chunk for an idle worker: sync the worker's
+// advertised state, reclaim overdue chunks everywhere, gather the
+// schedulable jobs, and let the cross-job policy choose. When nothing is
+// schedulable, mayPark is set and the session holds no assignments, it
+// also returns a parking for the caller to wait on before asking again.
+// A session that still holds assignments is never parked: its held batch
+// must flush first, or its results would gate their own job's completion.
+func (r *Registry) assignOrPark(sess *session, req *protocol.TaskRequest, mayPark bool) (*protocol.Message, parking) {
 	now := time.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -285,6 +335,8 @@ func (r *Registry) nextAssignment(sess *session, req *protocol.TaskRequest) *pro
 
 	cands := r.candScratch[:0]
 	jobs := r.jobScratch[:0]
+	// outstanding (chunks in flight or merging anywhere) holds off the
+	// DrainOnEmpty check; minTimeout clamps the park bound.
 	outstanding := false
 	minTimeout := time.Duration(0)
 	pendTotal := 0
@@ -323,22 +375,25 @@ func (r *Registry) nextAssignment(sess *session, req *protocol.TaskRequest) *pro
 			select {
 			case <-r.drained:
 				return &protocol.Message{Type: protocol.MsgNoWork,
-					NoWork: &protocol.NoWork{Done: true}}
+					NoWork: &protocol.NoWork{Done: true}}, parking{}
 			default:
 			}
 		}
-		retry := minTimeout / 4
-		if retry <= 0 || retry > idleRetry {
-			retry = idleRetry
+		noWork := &protocol.Message{Type: protocol.MsgNoWork, NoWork: &protocol.NoWork{}}
+		if !mayPark || len(sess.assigned) > 0 {
+			return noWork, parking{}
 		}
-		if outstanding && retry > busyRetry {
-			// Chunks are in flight (or held in worker batches): their
-			// reduction can unblock this worker — or end a draining
-			// service — any moment, so poll fast instead of sleeping out
-			// the tail of the queue.
-			retry = busyRetry
+		// Capture the wake channel in this critical section: a Submit or
+		// requeue landing after the unlock closes the very channel the
+		// caller is about to wait on, so no wakeup is lost.
+		if r.wake == nil {
+			r.wake = make(chan struct{})
 		}
-		return &protocol.Message{Type: protocol.MsgNoWork, NoWork: &protocol.NoWork{RetryIn: retry}}
+		p := parking{wake: r.wake, bound: minTimeout / 4}
+		if p.bound <= 0 || p.bound > idleRetry {
+			p.bound = idleRetry
+		}
+		return noWork, p
 	}
 
 	pick := r.policy.Pick(cands)
@@ -452,7 +507,7 @@ func (r *Registry) nextAssignment(sess *session, req *protocol.TaskRequest) *pro
 		}
 		sess.knownJobs[j.id] = true
 	}
-	return &protocol.Message{Type: protocol.MsgTaskAssign, Assign: assign}
+	return &protocol.Message{Type: protocol.MsgTaskAssign, Assign: assign}, parking{}
 }
 
 // reduceBatch reduces a worker-side pre-reduced batch group by group,

@@ -134,9 +134,10 @@ func TestFleetIntrospectionEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The workers keep idle-polling after the job, so their piggybacked
-	// reports (250ms cadence) land shortly; /fleet must then show a
-	// nonzero self-reported rate next to the server-inferred one.
+	// The workers keep asking after the job (each idle request parks for
+	// at most idleRetry), so their piggybacked reports (250ms cadence)
+	// land shortly; /fleet must then show a nonzero self-reported rate
+	// next to the server-inferred one.
 	var fleet struct {
 		Workers []fleetRow `json:"workers"`
 	}

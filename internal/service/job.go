@@ -287,12 +287,14 @@ func (j *Job) issueChunkLocked() int {
 
 // requeueLocked returns a chunk to the pending queue, restarting its
 // queue-wait clock so span accounting measures the current wait, not the
-// sum across reassignments. Every requeue path must come through here.
+// sum across reassignments, and wakes parked workers to take it. Every
+// requeue path must come through here.
 func (j *Job) requeueLocked(id int) {
 	j.pending = append(j.pending, id)
 	if id >= 0 && id < len(j.queued) {
 		j.queued[id] = time.Now()
 	}
+	j.reg.wakeLocked()
 }
 
 // queuedAtLocked returns when the chunk last entered the pending queue

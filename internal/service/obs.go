@@ -52,6 +52,8 @@ type svcMetrics struct {
 
 	sessionsTotal *obs.Counter
 	reconnects    *obs.Counter
+	parksWoken    *obs.Counter // parked idle requests released by a wake or drain
+	parksExpired  *obs.Counter // parked idle requests that ran out their bound
 }
 
 // newServiceMetrics registers the service-plane instruments on reg and
@@ -111,6 +113,10 @@ func newServiceMetrics(reg *obs.Registry, r *Registry) *svcMetrics {
 		"Result-cache hits by index probed.", "index")
 	m.cacheHitExact = hits.With("exact")
 	m.cacheHitPhysics = hits.With("physics")
+	parks := reg.CounterVec("service_worker_parks_total",
+		"Idle worker requests parked until work may appear, by how the wait ended.", "outcome")
+	m.parksWoken = parks.With("woken")
+	m.parksExpired = parks.With("expired")
 	rej := reg.CounterVec("service_results_rejected_total",
 		"Results the reducer refused, by reason.", "reason")
 	m.rejectedStale = rej.With("stale")

@@ -48,6 +48,12 @@ type Registry struct {
 	candScratch []Candidate
 	jobScratch  []*Job
 
+	// wake is closed, and reset to nil, whenever work may have appeared or
+	// the registry drains (wakeLocked): every session parked on it re-runs
+	// dispatch at once. Parking creates it lazily, so it stays nil while
+	// nobody is parked.
+	wake chan struct{}
+
 	drainOnce sync.Once
 	drained   chan struct{} // closed when DrainOnEmpty and all jobs finished
 }
@@ -206,6 +212,7 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 	r.registerLocked(j)
 	r.active = append(r.active, j)
 	r.byKey[key] = j
+	r.wakeLocked()
 	r.submitted++
 	ts.submitted++
 	if spec.replay {
@@ -450,6 +457,7 @@ func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 	} else {
 		r.active = append(r.active, j)
 		r.byKey[key] = j
+		r.wakeLocked()
 	}
 	r.mu.Unlock()
 	// Re-journal the restored job so the log is self-contained from here
@@ -601,12 +609,16 @@ func (r *Registry) sealJob(j *Job) {
 }
 
 // checkDrainLocked closes the drain channel once a one-shot registry has
-// seen at least one submission and has no unfinished jobs left.
+// seen at least one submission and has no unfinished jobs left, and wakes
+// parked workers to hear Done.
 func (r *Registry) checkDrainLocked() {
 	if !r.opts.DrainOnEmpty || r.seq == 0 || len(r.active) > 0 {
 		return
 	}
-	r.drainOnce.Do(func() { close(r.drained) })
+	r.drainOnce.Do(func() {
+		close(r.drained)
+		r.wakeLocked()
+	})
 }
 
 // Drained returns a channel closed when a DrainOnEmpty registry has

@@ -72,7 +72,8 @@ type Options struct {
 	RetainDone int
 	// DrainOnEmpty makes the fleet tell workers the service is Done once
 	// every submitted job has finished — the one-shot mcserver mode. A
-	// long-lived service leaves it false and workers idle-poll.
+	// long-lived service leaves it false, and an idle worker's request
+	// parks until work appears (or a bounded wait expires).
 	DrainOnEmpty bool
 	// MaxTargetPhotons caps the photon budget of precision-targeted jobs
 	// (a submission's own Target.MaxPhotons is clamped to it); 0 means

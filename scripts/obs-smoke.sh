@@ -116,6 +116,12 @@ echo "$METRICS" | grep -q '^service_span_compute_seconds_count 4$' ||
 echo "$METRICS" | grep -Eq '^mc_build_info\{.*version="smoke-test".*\} 1$' ||
   fail "mc_build_info missing the -ldflags-injected version"
 echo "$METRICS" | grep -q '^process_uptime_seconds' || fail "uptime metric absent"
+# Idle workers park on the registry; both outcomes are exported from boot.
+# Only presence is asserted: a submission can land between two parks.
+for outcome in woken expired; do
+  echo "$METRICS" | grep -Eq "^service_worker_parks_total\{outcome=\"$outcome\"\} [0-9]+$" ||
+    fail "service_worker_parks_total{outcome=\"$outcome\"} not exported"
+done
 
 EVENTS=$(curl -fsS "http://$HTTP/jobs/$ID/events")
 for kind in submitted chunk-granted chunk-completed finalized; do
@@ -137,7 +143,8 @@ done
 echo "$SPANS" | grep -q '"worker":"smoke-worker"' || fail "spans lost worker attribution"
 
 # The worker's piggybacked report rides its chunk requests at a gentle
-# cadence; after the job it keeps idle-polling, so give it a moment.
+# cadence; after the job it keeps asking (each idle request parks for at
+# most 50 ms), so give it a moment.
 FLEET_OK=0
 for _ in $(seq 1 50); do
   FLEETJSON=$(curl -fsS "http://$HTTP/fleet")
